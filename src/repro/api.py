@@ -121,12 +121,12 @@ class Session:
         self.telemetry = as_telemetry(telemetry)
         # Programs are keyed by (digest, filename): same content under a
         # new name recompiles so reports attribute to the right file.
-        # Traces are keyed by (digest, sampling spec, format version) —
+        # Traces are keyed by (digest, sampling spec) —
         # the event stream does not depend on the filename, so one
         # recording serves every alias, but a sampled recording answers
         # different questions than a full one and must never shadow it.
         self._programs: dict[tuple[str, str], ProgramIR] = {}
-        self._traces: dict[tuple[str, str, int], str] = {}
+        self._traces: dict[tuple[str, str], str] = {}
         # Static dependence reports are execution-free, so they key on
         # the IR digest alone — any filename alias shares one report.
         self._static: dict[str, "StaticDepReport"] = {}
@@ -192,19 +192,18 @@ class Session:
         self._static[digest] = report
         return report
 
-    def _trace_key(self, digest: str) -> tuple[str, str, int]:
+    def _trace_key(self, digest: str) -> tuple[str, str]:
         """Cache key of a recording under the session's options: one
-        slot per (program, sampling policy, trace format)."""
-        return (digest, self.options.sample or "full",
-                self.options.trace_format)
+        slot per (program, sampling policy)."""
+        return (digest, self.options.sample or "full")
 
     def record(self, source: str, filename: str = "<input>") -> str:
         """Record one execution into the trace cache; returns the path.
 
         Repeated calls for the same source (any filename) under the
-        same sampling/format configuration return the cached trace
-        without re-running the program; changing ``options.sample`` or
-        ``options.trace_format`` records a distinct trace.
+        same sampling configuration return the cached trace without
+        re-running the program; changing ``options.sample`` records a
+        distinct trace.
         """
         from repro.trace.writer import record_program
 
@@ -220,20 +219,18 @@ class Session:
         path = os.path.join(self._trace_dir(), self._trace_name(key))
         record_program(program, path, source=source, filename=filename,
                        max_steps=self.options.max_steps,
-                       version=self.options.trace_format,
                        sampling=self.options.sample,
-                       checkpoint_interval=self.options.checkpoints,
                        telemetry=self.telemetry)
         self._traces[key] = path
         self.stats.records += 1
         return path
 
     @staticmethod
-    def _trace_name(key: tuple[str, str, int]) -> str:
-        digest, spec, version = key
+    def _trace_name(key: tuple[str, str]) -> str:
+        digest, spec = key
         safe_spec = spec.replace(":", "-").replace("/", "-") \
                         .replace("@", "-")
-        return f"{digest[:16]}-{safe_spec}-v{version}.trace"
+        return f"{digest[:16]}-{safe_spec}.trace"
 
     # -- the one entry point ------------------------------------------------
 
@@ -459,10 +456,7 @@ class Session:
         key = self._trace_key(source_digest(source))
         path = os.path.join(self._trace_dir(), self._trace_name(key))
         policy = as_policy(self.options.sample)
-        writer = TraceWriter(path, source, filename,
-                             version=self.options.trace_format,
-                             sampling=policy.spec,
-                             checkpoint_interval=self.options.checkpoints)
+        writer = TraceWriter(path, source, filename, sampling=policy.spec)
         recorder = (writer if policy.is_full
                     else SampledTracer(policy, writer,
                                        telemetry=self.telemetry))
@@ -473,8 +467,6 @@ class Session:
             tm.count("session.trace_cache_misses")
             tm.count("trace.events_written", writer.events)
             tm.count("trace.bytes_written", os.path.getsize(writer.path))
-            tm.count("trace.checkpoint_seams_written",
-                     len(writer._checkpoints))
             if not policy.is_full:
                 tm.count("sampling.memory_events_kept", recorder.kept)
                 tm.count("sampling.memory_events_dropped",

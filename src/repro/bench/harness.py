@@ -293,29 +293,22 @@ class TraceBenchRow:
 
 def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
                      analyses: tuple[str, ...] = ("dep", "locality", "hot"),
-                     repeats: int = 1,
-                     version: int | None = None) -> list[TraceBenchRow]:
+                     repeats: int = 1) -> list[TraceBenchRow]:
     """Measure record+replay vs. N live instrumented runs per workload.
 
     ``repeats`` > 1 keeps the minimum of several timings per side,
-    damping scheduler noise on small workloads. ``version`` pins the
-    trace format (default: the writer's default, currently v2 — its
-    compact decode costs ~10% replay time vs v1; pass ``version=1`` to
-    bench the fixed-record format).
+    damping scheduler noise on small workloads.
     """
     import os
     import tempfile
 
     from repro.analyses import make_analyses
     from repro.runtime.interpreter import run_source
-    from repro.trace.events import DEFAULT_TRACE_VERSION
     from repro.trace.replay import replay_trace
     from repro.trace.writer import record_source
 
     from repro.workloads import names as workload_names
 
-    if version is None:
-        version = DEFAULT_TRACE_VERSION
     rows = []
     for name in (names if names is not None else workload_names()):
         workload = get(name, scale)
@@ -326,7 +319,7 @@ def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
         # land on whichever side happens to run first.
         with tempfile.TemporaryDirectory() as tmp:
             warm = os.path.join(tmp, "warm.trace")
-            record_source(source, warm, version=version)
+            record_source(source, warm)
             replay_trace(warm, analyses)
         Alchemist().profile(source)
 
@@ -348,7 +341,7 @@ def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
             path = os.path.join(tmp, f"{name}.trace")
             for _ in range(repeats):
                 start = time.perf_counter()
-                recorded = record_source(source, path, version=version)
+                recorded = record_source(source, path)
                 record_best = min(record_best,
                                   time.perf_counter() - start)
                 events, trace_bytes = recorded.events, recorded.trace_bytes
@@ -366,13 +359,11 @@ def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
 def trace_bench(names: list[str] | None = None, scale: float = 0.5,
                 analyses: tuple[str, ...] = ("dep", "locality", "hot"),
                 out_path: str | None = "BENCH_trace.json",
-                repeats: int = 2, version: int | None = None) -> dict:
+                repeats: int = 2) -> dict:
     """The BENCH_trace.json artifact: per-workload rows plus totals."""
-    from repro.trace.events import DEFAULT_TRACE_VERSION
+    from repro.trace.events import TRACE_VERSION_V2
 
-    if version is None:
-        version = DEFAULT_TRACE_VERSION
-    rows = trace_bench_rows(names, scale, analyses, repeats, version)
+    rows = trace_bench_rows(names, scale, analyses, repeats)
     live = sum(r.live_seconds for r in rows)
     rec = sum(r.record_seconds for r in rows)
     rep = sum(r.replay_seconds for r in rows)
@@ -381,7 +372,7 @@ def trace_bench(names: list[str] | None = None, scale: float = 0.5,
         "scale": scale,
         "analyses": list(analyses),
         "repeats": repeats,
-        "trace_version": version,
+        "trace_version": TRACE_VERSION_V2,
         "rows": [dict(asdict(r), speedup=r.speedup) for r in rows],
         "total": {
             "live_seconds": live,
@@ -457,7 +448,7 @@ def trace_decode_bench_rows(names: list[str] | None = None,
         workload = get(name, scale)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, f"{name}.trace")
-            recorded = record_source(workload.source, path, version=2)
+            recorded = record_source(workload.source, path)
             program = compile_source(workload.source)
             # Warm both paths before timing either.
             replay_trace(path, analyses, program, columnar=True)
@@ -526,8 +517,10 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
                    out_path: str | None = "BENCH_parallel.json") -> dict:
     """Measure sharded parallel replay against one serial pass.
 
-    Per workload: record once (checkpointed), time the serial replay
-    and the ``jobs``-worker parallel replay (minimum over ``repeats``),
+    Per workload: record once, size the seam interval from the event
+    count (about four segments per worker), time the serial replay and
+    the ``jobs``-worker parallel replay (minimum over ``repeats``; the
+    first parallel run also pays the seam scan and writes the sidecar),
     verify the merged results equal serial bit-for-bit, and report two
     speedups:
 
@@ -555,12 +548,9 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, f"{name}.trace")
             recorded = record_source(workload.source, path)
-            if recorded.checkpoints < jobs * 3:
-                # Too few seams for a balanced split: re-record with an
-                # interval sized to the now-known event count.
-                interval = max(1000, recorded.events // (jobs * 4))
-                recorded = record_source(workload.source, path,
-                                         checkpoint_interval=interval)
+            # Seams sit at block boundaries, so a trace shorter than a
+            # few blocks still shards into fewer segments than asked.
+            interval = max(1000, recorded.events // (jobs * 4))
 
             serial_best = float("inf")
             serial_outcome = None
@@ -574,7 +564,8 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
             outcome = None
             for _ in range(repeats):
                 start = time.perf_counter()
-                candidate = parallel_replay(path, analyses, jobs=jobs)
+                candidate = parallel_replay(path, analyses, jobs=jobs,
+                                            interval=interval)
                 elapsed = time.perf_counter() - start
                 if elapsed < parallel_best:
                     parallel_best = elapsed
@@ -590,7 +581,7 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
                 "name": name,
                 "events": recorded.events,
                 "trace_bytes": recorded.trace_bytes,
-                "checkpoints": recorded.checkpoints,
+                "interval": interval,
                 "segments": len(outcome.plan.segments),
                 "mode": outcome.mode,
                 "results_identical_to_serial": identical,

@@ -27,19 +27,20 @@ Subcommands
 ``annotate FILE --line N``
     Render the transformation guidance for the construct at line N as
     an annotated source listing (spawn/join/privatize markers).
-``record FILE -o x.trace [--sample interval:100] [--format 2]``
+``record FILE -o x.trace [--sample interval:100]``
     Execute once under the trace recorder; every interpreter event is
-    streamed into a compact self-contained trace file (v2
-    block-compressed by default). ``--sample`` gates the memory-event
-    stream through a sampling policy for much smaller traces.
+    streamed into a compact self-contained trace file (v2,
+    block-compressed). ``--sample`` gates the memory-event stream
+    through a sampling policy for much smaller traces.
 ``replay x.trace --analysis dep,locality,hot``
     Thin alias for replaying an existing trace file through registered
-    analyses — no re-execution. v1 and v2 traces replay alike.
+    analyses — no re-execution. Retired v1 traces exit 2 with a
+    re-record hint.
 ``info x.trace``
     Inspect a trace without replaying it: format version, header
     provenance (digest, sampling policy), event counts by type,
-    checkpoint seams (embedded, sidecar-cached, or none), and
-    compressed vs. uncompressed sizes.
+    shard seams (sidecar-cached, or none yet), and compressed vs.
+    uncompressed sizes.
 ``stats m.json``
     Render a ``--metrics`` artifact: the hierarchical span tree with
     wall/CPU timings, counters, gauges, and derived rates
@@ -402,21 +403,14 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
     out = args.out or (args.file + ".trace")
     policy = _parse_sample(args.sample)
-    if args.checkpoints is not None and args.checkpoints < 0:
-        raise CliError(f"--checkpoints must be >= 0, "
-                       f"got {args.checkpoints}")
     result = record_source(_read(args.file), out, filename=args.file,
-                           version=args.format, sampling=policy,
-                           checkpoint_interval=args.checkpoints,
-                           telemetry=args.telemetry)
+                           sampling=policy, telemetry=args.telemetry)
     sampled = ("" if policy.is_full
                else f", sampled {policy.spec}")
-    seams = (f", {result.checkpoints} checkpoint(s)"
-             if result.checkpoints else "")
     # The "recorded ... -> path" line is the verb's result: stdout.
     print(f"recorded {result.events} events ({result.trace_bytes} bytes, "
-          f"{result.final_time} instructions, format v{result.version}"
-          f"{sampled}{seams}) -> {result.path}")
+          f"{result.final_time} instructions, format v2"
+          f"{sampled}) -> {result.path}")
     _progress(args, f"[exit {result.exit_value}; "
                     f"{result.wall_seconds:.3f}s]")
     return 0
@@ -425,9 +419,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     import os
 
-    from repro.trace.events import (EVENT_NAMES, RECORD_SIZE,
-                                    TRACE_VERSION_V1)
+    from repro.trace.events import EVENT_NAMES, V1_RECORD_BYTES
     from repro.trace.reader import TraceReader
+    from repro.trace.shards import SIDECAR_SUFFIX, probe_sidecar
 
     with TraceReader(args.trace) as reader:
         header = reader.header
@@ -438,11 +432,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         decoder = reader.decoder
     total = sum(counts.values())
     file_bytes = os.path.getsize(args.trace)
-    v1_equivalent = total * RECORD_SIZE
-    formats = {1: "v1 (fixed 13-byte records)",
-               2: "v2 (delta/varint records, zlib blocks)"}
+    v1_equivalent = total * V1_RECORD_BYTES
     print(f"trace:      {args.trace}")
-    print(f"format:     {formats.get(reader.version, reader.version)}")
+    print(f"format:     v{reader.version} (delta/varint records, "
+          "zlib blocks)")
     print(f"program:    {header.filename}")
     print(f"digest:     sha256:{header.digest}")
     print(f"sampling:   {header.sampling}")
@@ -455,41 +448,28 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"{EVENT_NAMES.get(etype, f'type{etype}')}={counts[etype]}"
         for etype in sorted(counts))
     print(f"events:     {total} ({by_name})")
-    # Seam reporting is uniform across formats and origins: v2 traces
-    # embed checkpoints in the footer, v1 (or --checkpoints 0) traces
-    # may carry a scan-built .ckpt sidecar, and a trace can have
-    # neither — info always says which case it found.
-    from repro.trace.shards import SIDECAR_SUFFIX, probe_sidecar
-
-    if footer.checkpoints:
-        count = len(footer.checkpoints)
-        origin = "embedded in the trace footer"
-    else:
-        side = probe_sidecar(args.trace)
-        count = side["checkpoints"] if side else 0
-        origin = f"cached in the {SIDECAR_SUFFIX} sidecar"
+    # Seams are scan-built and live only in the .ckpt sidecar; a
+    # trace may not have one yet, and info says which case it found.
+    side = probe_sidecar(args.trace)
+    count = side["checkpoints"] if side else 0
     if count:
         stride = total // (count + 1)
         print(f"checkpoints:{count} shard seam(s), ~{stride} events "
-              f"apart, {origin} (parallel replay ready)")
+              f"apart, cached in the {SIDECAR_SUFFIX} sidecar "
+              "(parallel replay ready)")
     else:
-        print(f"checkpoints:none (no embedded seams, no valid "
-              f"{SIDECAR_SUFFIX} sidecar; parallel replay scans and "
-              f"caches one on first use)")
+        print(f"checkpoints:none (no valid {SIDECAR_SUFFIX} sidecar; "
+              "parallel replay scans and caches one on first use)")
     print(f"time:       {footer.final_time} instructions")
     print(f"exit:       {footer.exit_value}; "
           f"{len(footer.output)} output line(s)")
-    if reader.version == TRACE_VERSION_V1:
-        print(f"size:       {file_bytes} B on disk; event records "
-              f"{v1_equivalent} B uncompressed")
-    else:
-        ratio = (v1_equivalent / decoder.compressed_bytes
-                 if decoder.compressed_bytes else float("nan"))
-        print(f"size:       {file_bytes} B on disk; events "
-              f"{decoder.compressed_bytes} B compressed in "
-              f"{decoder.blocks} block(s), {decoder.raw_bytes} B "
-              f"unpacked, {v1_equivalent} B v1-equivalent "
-              f"({ratio:.1f}x smaller)")
+    ratio = (v1_equivalent / decoder.compressed_bytes
+             if decoder.compressed_bytes else float("nan"))
+    print(f"size:       {file_bytes} B on disk; events "
+          f"{decoder.compressed_bytes} B compressed in "
+          f"{decoder.blocks} block(s), {decoder.raw_bytes} B "
+          f"unpacked, {v1_equivalent} B v1-equivalent "
+          f"({ratio:.1f}x smaller)")
     return 0
 
 
@@ -505,8 +485,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         ctx = outcome.context
         if outcome.mode == "parallel":
             how = (f"across {outcome.jobs} worker(s), "
-                   f"{len(outcome.plan.segments)} segment(s), "
-                   f"{outcome.plan.source} checkpoints")
+                   f"{len(outcome.plan.segments)} segment(s)")
         else:
             how = f"serially ({outcome.fallback_reason})"
         _progress(args, f"replayed {ctx.events} events "
@@ -543,7 +522,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     report = record_replay_many(names, args.out_dir, analyses=analyses,
                                 workers=args.workers, scale=args.scale,
                                 sampling=policy.spec,
-                                version=args.format,
                                 telemetry=args.telemetry)
     print(report.describe())
     failed = report.failures()
@@ -556,8 +534,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if recorded:
             data = trace_bench(recorded, scale=args.scale,
                                analyses=analyses,
-                               out_path=args.bench_out,
-                               version=args.format)
+                               out_path=args.bench_out)
             total = data["total"]
             _progress(
                 args,
@@ -615,7 +592,7 @@ def _cmd_bench_sampling(args: argparse.Namespace) -> int:
         for spec, pol in row["policies"].items():
             print(f"{'':12s}   {spec:18s} {pol['trace_bytes']:>9} B "
                   f"({pol['reduction_vs_v1']:.1f}x vs v1, "
-                  f"record {pol['record_speedup']:.2f}x, "
+                  f"record {pol['record_speedup_vs_full']:.2f}x vs full, "
                   f"replay {pol['replay_speedup']:.2f}x) "
                   f"hot_err={fmt(pol['hot_count_error'])} "
                   f"loc_err={fmt(pol['locality_hit_rate_error'])} "
@@ -724,7 +701,7 @@ def _trace_parity_check(names: list[str], scale: float) -> list[str]:
         workload = get(name, scale)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, f"{name}.trace")
-            record_source(workload.source, path, version=2)
+            record_source(workload.source, path)
             scalar = replay_trace(path, every, columnar=False)
             batch = replay_trace(path, every, columnar=True)
         if any(batch.reports[a].to_dict() != scalar.reports[a].to_dict()
@@ -962,14 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling policy for memory events: "
                             "interval:N, burst:K/N, reservoir:K[@SEED] "
                             "(default: full fidelity)")
-    p_rec.add_argument("--format", type=int, choices=(1, 2), default=2,
-                       help="trace schema version to write (default 2, "
-                            "block-compressed)")
-    p_rec.add_argument("--checkpoints", type=int, default=None,
-                       metavar="N",
-                       help="events between checkpoint shard seams for "
-                            "parallel replay (v2 only; 0 disables; "
-                            "default ~50k)")
     _add_observability(p_rec)
     p_rec.set_defaults(func=_cmd_record)
 
@@ -1026,8 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--sample", default=None, metavar="SPEC",
                          help="sampling policy for the record phase "
                               "(default: full fidelity)")
-    p_batch.add_argument("--format", type=int, choices=(1, 2), default=2,
-                         help="trace schema version to write (default 2)")
     _add_observability(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 

@@ -46,17 +46,12 @@ class ProfileOptions:
     #: "reservoir:256"). Applies to trace recording only — live
     #: analyses always see the complete stream.
     sample: str | None = None
-    #: Trace schema version new recordings are written as (1 or 2).
-    trace_format: int | None = None
     #: Parallel replay worker count. ``None``/1 = serial; 0 = one per
     #: CPU; N > 1 = that many processes. Replayed analyses that
     #: implement the segment protocol then run as a sharded parallel
     #: pass with results identical to serial (live runs are never
     #: parallelized — there is only one execution).
     jobs: int | None = None
-    #: Events between checkpoint shard seams in new recordings
-    #: (v2 only). ``None`` = the writer default, 0 = no checkpoints.
-    checkpoints: int | None = None
 
     def __post_init__(self) -> None:
         # Fail at construction: a non-positive pool size used to surface
@@ -69,24 +64,12 @@ class ProfileOptions:
             raise ValueError(
                 f"max_steps must be positive, got {self.max_steps}")
         from repro.sampling.policies import parse_sample_spec
-        from repro.trace.events import (DEFAULT_TRACE_VERSION,
-                                        SUPPORTED_TRACE_VERSIONS)
 
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
-        if self.checkpoints is not None and self.checkpoints < 0:
-            raise ValueError(
-                f"checkpoints must be >= 0, got {self.checkpoints}")
         # Normalize the spec early so equal configs cache-key equally
         # ("INTERVAL:100 " and "interval:100" are one policy).
         self.sample = parse_sample_spec(self.sample).spec
-        if self.trace_format is None:
-            self.trace_format = DEFAULT_TRACE_VERSION
-        elif self.trace_format not in SUPPORTED_TRACE_VERSIONS:
-            known = ", ".join(str(v) for v in SUPPORTED_TRACE_VERSIONS)
-            raise ValueError(
-                f"trace_format must be one of {known}, "
-                f"got {self.trace_format}")
 
 
 class Alchemist:

@@ -7,8 +7,12 @@ tables (pc maps, construct tables) can be flat dictionaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.ir import instructions as ins
+
+if TYPE_CHECKING:
+    from repro.staticdep.report import StaticDepReport
 
 #: Virtual exit node id used by post-dominance analysis. `Ret` terminators
 #: have an implicit edge to it.
@@ -119,6 +123,9 @@ class ProgramIR:
         self.blocks_by_id: dict[int, BasicBlock] = {}
         #: Block id -> owning function name.
         self.block_fn: dict[int, str] = {}
+        #: Memoized static dependence report (``staticdep.report_for``);
+        #: it lives and dies with this program.
+        self.static_report: StaticDepReport | None = None
 
     # -- assembly -----------------------------------------------------
 

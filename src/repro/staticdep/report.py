@@ -20,7 +20,6 @@ mis-pairing across a sampling gap)?
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING
 
 from repro.analysis.callgraph import recursive_functions
@@ -248,18 +247,15 @@ def analyze_program(program: ProgramIR,
     return report
 
 
-_CACHE: "weakref.WeakKeyDictionary[ProgramIR, StaticDepReport]" = \
-    weakref.WeakKeyDictionary()
-
-
 def report_for(program: ProgramIR,
                telemetry: "Telemetry | NullTelemetry | None" = None,
                ) -> StaticDepReport:
-    """Memoized :func:`analyze_program`, keyed by program identity —
-    every analysis pass over the same compiled program shares one
-    static report."""
-    report = _CACHE.get(program)
+    """Memoized :func:`analyze_program` — every analysis pass over the
+    same compiled program shares one static report. The report is kept
+    on the program itself (``ProgramIR.static_report``), so it is freed
+    together with the program instead of pinning it in a global cache."""
+    report = program.static_report
     if report is None:
         report = analyze_program(program, telemetry)
-        _CACHE[program] = report
+        program.static_report = report
     return report

@@ -1,16 +1,12 @@
-"""Event-stream codecs: the version-specific wire formats.
+"""The event-stream codec: the wire format between header and footer.
 
-The file envelope (magic, header, footer, trailer) is shared by every
-trace version and lives in :mod:`repro.trace.events`; this module owns
-only the *events* section in between. Both sides of each version are
-here so the writer and reader cannot drift apart, and so the round-trip
-fuzz tests can drive a codec directly without building a whole file.
+The file envelope (magic, header, footer, trailer) lives in
+:mod:`repro.trace.events`; this module owns only the *events* section
+in between. Both sides are here so the writer and reader cannot drift
+apart, and so the round-trip fuzz tests can drive the codec directly
+without building a whole file.
 
-**v1** packs each event as a fixed 13-byte ``<BIII`` record — type
-byte, operands ``a``/``b``, timestamp delta. Simple and decodable with
-one :func:`struct.iter_unpack` per chunk.
-
-**v2** packs each event as::
+Each event is packed as::
 
     type      1 byte
     zz(Δa)    uvarint   zigzag delta of ``a`` vs the previous record
@@ -19,23 +15,24 @@ one :func:`struct.iter_unpack` per chunk.
     Δt        uvarint   timestamp delta vs the previous record (any
                         type; timestamps are globally monotone)
 
-and groups records into independently zlib-compressed blocks framed
-as ``<II`` (compressed length, uncompressed length). Per-type deltas
-make sequential address sweeps and repeated PCs collapse to one or two
-bytes before compression; zlib then squeezes the remaining structure.
-A block boundary never splits a record, and the per-type delta state
-deliberately carries *across* blocks (blocks are primarily a framing
-unit — traces stream start to end). Block boundaries double as shard
-seams, though: both sides expose their delta state (``state()`` on the
-encoder, the ``state`` constructor argument on the decoder), so a
-checkpoint can capture the deltas at a boundary and a later reader can
-seek to that block and resume decoding mid-file
-(:mod:`repro.trace.shards`).
+and records are grouped into independently zlib-compressed blocks
+framed as ``<II`` (compressed length, uncompressed length). Per-type
+deltas make sequential address sweeps and repeated PCs collapse to one
+or two bytes before compression; zlib then squeezes the remaining
+structure. A block boundary never splits a record, and the per-type
+delta state deliberately carries *across* blocks (blocks are primarily
+a framing unit — traces stream start to end). Block boundaries double
+as shard seams, though: the decoders report their delta state at each
+boundary (``block_hook``) and accept it back (``state``), so the shard
+scan can capture the deltas at a boundary and a later reader can seek
+to that block and resume decoding mid-file (:mod:`repro.trace.shards`).
 
 Decoding errors follow the reader's contract: a file that ends inside
 a block frame or whose decompressed payload stops mid-record raises
 :class:`TraceTruncatedError`; a block that fails to decompress or
-whose length field lies raises :class:`TraceError`.
+whose length field lies raises :class:`TraceError`. Inflation is
+bounded by the declared length (:func:`read_block`), so a block that
+lies about its size cannot make the reader allocate more than it said.
 """
 
 from __future__ import annotations
@@ -46,23 +43,14 @@ from typing import BinaryIO, Iterator
 
 from repro.trace.columnar import (HAVE_NUMPY, EventBatch,
                                   decode_block_columns)
-from repro.trace.events import (EV_FINISH, RECORD, RECORD_SIZE, TraceError,
-                                TraceTruncatedError)
+from repro.trace.events import EV_FINISH, TraceError, TraceTruncatedError
 
-#: v2 block frame: compressed payload length, uncompressed length.
+#: Block frame: compressed payload length, uncompressed length.
 BLOCK_HEADER = Struct("<II")
 BLOCK_HEADER_SIZE = BLOCK_HEADER.size
 
-#: Flush a v2 block once this much uncompressed record data buffered.
+#: Flush a block once this much uncompressed record data buffered.
 DEFAULT_BLOCK_BYTES = 1 << 16
-
-#: v1 writer flush threshold (bytes of packed records).
-V1_FLUSH_BYTES = 1 << 20
-
-#: Records per read() while streaming v1 (chunk is a multiple of the
-#: record size, so iter_unpack never sees a partial record).
-_V1_CHUNK_RECORDS = 16384
-V1_CHUNK_BYTES = _V1_CHUNK_RECORDS * RECORD_SIZE
 
 Event = tuple[int, int, int, int]
 
@@ -127,41 +115,11 @@ def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Encoders: writer-side, one per version
+# Encoder: writer-side
 # ---------------------------------------------------------------------------
-
-class V1Encoder:
-    """Fixed-record encoder; ``take()`` hands back raw packed bytes."""
-
-    version = 1
-    flush_bytes = V1_FLUSH_BYTES
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._pack = RECORD.pack
-
-    def add(self, etype: int, a: int, b: int, delta: int) -> None:
-        self._buffer += self._pack(etype, a, b, delta)
-
-    def pending(self) -> int:
-        return len(self._buffer)
-
-    def take(self) -> bytes:
-        """Everything buffered, ready to append to the file."""
-        out = bytes(self._buffer)
-        self._buffer.clear()
-        return out
-
-    def state(self) -> dict:
-        """v1 records are stateless; only the clock carries across a
-        seam (the checkpoint stores it separately)."""
-        return {}
-
 
 class V2Encoder:
     """Delta/varint encoder; ``take()`` hands back one framed block."""
-
-    version = 2
 
     def __init__(self, block_bytes: int = DEFAULT_BLOCK_BYTES) -> None:
         if block_bytes <= 0:
@@ -222,77 +180,54 @@ class V2Encoder:
         raw.clear()
         return frame
 
-    def state(self) -> dict:
-        """Sparse snapshot of the per-type delta state, JSON-able.
-
-        Meaningful only when nothing is pending (i.e. right after
-        ``take()``): the checkpoint machinery captures it at a block
-        boundary and hands it to a decoder's ``state`` argument so
-        decoding can resume at that boundary.
-        """
-        prev = {}
-        prev_a, prev_b = self._prev_a, self._prev_b
-        for etype in range(256):
-            if prev_a[etype] or prev_b[etype]:
-                prev[str(etype)] = [prev_a[etype], prev_b[etype]]
-        return {"prev": prev}
-
-
-def make_encoder(version: int,
-                 block_bytes: int = DEFAULT_BLOCK_BYTES):
-    if version == 1:
-        return V1Encoder()
-    if version == 2:
-        return V2Encoder(block_bytes)
-    raise TraceError(f"cannot write trace schema version {version}")
-
 
 # ---------------------------------------------------------------------------
 # Decoders: reader-side
 # ---------------------------------------------------------------------------
 
-class V1Decoder:
-    """Streams fixed 13-byte records until FINISH.
+def read_block(handle: BinaryIO, path: str) -> tuple[bytes, int]:
+    """Read and inflate the next block; returns ``(raw, compressed
+    length)``.
 
-    Exposes :attr:`records` (count consumed) afterwards so the caller
-    can compute the footer's file offset — v1 has no framing, so the
-    offset is arithmetic over the record count. ``state`` (from a
-    checkpoint) seeds the clock when decoding resumes mid-file.
+    The one frame reader both decoders share. Inflation stops one byte
+    past the declared uncompressed length, so a hostile block whose
+    payload expands without bound costs at most ``raw_len + 1`` bytes
+    before it is rejected.
     """
-
-    def __init__(self, handle: BinaryIO, path: str,
-                 state: dict | None = None) -> None:
-        self._handle = handle
-        self.path = path
-        self.records = 0
-        self._time0 = state.get("time", 0) if state else 0
-
-    def events(self) -> Iterator[Event]:
-        handle = self._handle
-        unpack_chunk = RECORD.iter_unpack
-        time = self._time0
-        records = 0
-        while True:
-            # A chunk near the end of the file may contain footer bytes
-            # after the FINISH record; alignment is only meaningful for
-            # the records before FINISH, so trim and check afterwards.
-            chunk = handle.read(V1_CHUNK_BYTES)
-            if not chunk:
-                raise TraceTruncatedError(
-                    f"{self.path}: event stream ends without FINISH")
-            remainder = len(chunk) % RECORD_SIZE
-            for etype, a, b, delta in unpack_chunk(chunk[:len(chunk)
-                                                         - remainder]):
-                time += delta
-                records += 1
-                yield (etype, a, b, time)
-                if etype == EV_FINISH:
-                    self.records = records
-                    return
-            if remainder:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends mid-record "
-                    f"({remainder} trailing bytes)")
+    frame = handle.read(BLOCK_HEADER_SIZE)
+    if not frame:
+        raise TraceTruncatedError(
+            f"{path}: event stream ends without FINISH")
+    if len(frame) < BLOCK_HEADER_SIZE:
+        raise TraceTruncatedError(
+            f"{path}: trace ends inside a block header")
+    comp_len, raw_len = BLOCK_HEADER.unpack(frame)
+    payload = handle.read(comp_len)
+    if len(payload) < comp_len:
+        raise TraceTruncatedError(
+            f"{path}: trace ends mid-block "
+            f"({len(payload)} of {comp_len} payload bytes)")
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(payload, raw_len + 1)
+    except zlib.error as exc:
+        raise TraceError(f"{path}: corrupt trace block: {exc}") from exc
+    if len(data) > raw_len:
+        raise TraceError(
+            f"{path}: block length mismatch ({raw_len} declared, "
+            "more decompressed)")
+    if inflater.unused_data:
+        raise TraceError(
+            f"{path}: block length mismatch ({comp_len} payload bytes "
+            f"declared, {len(inflater.unused_data)} left over)")
+    if not inflater.eof:
+        raise TraceError(f"{path}: corrupt trace block: incomplete or "
+                         "truncated stream")
+    if len(data) != raw_len:
+        raise TraceError(
+            f"{path}: block length mismatch "
+            f"({raw_len} declared, {len(data)} decompressed)")
+    return data, comp_len
 
 
 class V2Decoder:
@@ -305,9 +240,8 @@ class V2Decoder:
     start at a mid-file block boundary (parallel segment replay).
     ``block_hook``, if set, is called right before each block header is
     read as ``hook(offset, records, time, prev_a, prev_b)`` — the exact
-    state a checkpoint at that boundary must capture; the shard scanner
-    uses it to checkpoint traces that were recorded without embedded
-    checkpoints.
+    state a checkpoint at that boundary must capture; the shard scan
+    uses it to place its seams.
     """
 
     def __init__(self, handle: BinaryIO, path: str,
@@ -335,31 +269,10 @@ class V2Decoder:
             if self.block_hook is not None:
                 self.block_hook(handle.tell(), self.records, time,
                                 prev_a, prev_b)
-            frame = handle.read(BLOCK_HEADER_SIZE)
-            if not frame:
-                raise TraceTruncatedError(
-                    f"{self.path}: event stream ends without FINISH")
-            if len(frame) < BLOCK_HEADER_SIZE:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends inside a block header")
-            comp_len, raw_len = BLOCK_HEADER.unpack(frame)
-            payload = handle.read(comp_len)
-            if len(payload) < comp_len:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends mid-block "
-                    f"({len(payload)} of {comp_len} payload bytes)")
-            try:
-                data = zlib.decompress(payload)
-            except zlib.error as exc:
-                raise TraceError(
-                    f"{self.path}: corrupt trace block: {exc}") from exc
-            if len(data) != raw_len:
-                raise TraceError(
-                    f"{self.path}: block length mismatch "
-                    f"({raw_len} declared, {len(data)} decompressed)")
+            data, comp_len = read_block(handle, self.path)
             self.blocks += 1
             self.compressed_bytes += comp_len
-            self.raw_bytes += raw_len
+            self.raw_bytes += len(data)
             pos = 0
             end = len(data)
             records = self.records
@@ -454,31 +367,10 @@ class V2BatchDecoder:
             if self.block_hook is not None:
                 self.block_hook(handle.tell(), self.records, self._time,
                                 self._prev_a, self._prev_b)
-            frame = handle.read(BLOCK_HEADER_SIZE)
-            if not frame:
-                raise TraceTruncatedError(
-                    f"{self.path}: event stream ends without FINISH")
-            if len(frame) < BLOCK_HEADER_SIZE:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends inside a block header")
-            comp_len, raw_len = BLOCK_HEADER.unpack(frame)
-            payload = handle.read(comp_len)
-            if len(payload) < comp_len:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends mid-block "
-                    f"({len(payload)} of {comp_len} payload bytes)")
-            try:
-                data = zlib.decompress(payload)
-            except zlib.error as exc:
-                raise TraceError(
-                    f"{self.path}: corrupt trace block: {exc}") from exc
-            if len(data) != raw_len:
-                raise TraceError(
-                    f"{self.path}: block length mismatch "
-                    f"({raw_len} declared, {len(data)} decompressed)")
+            data, comp_len = read_block(handle, self.path)
             self.blocks += 1
             self.compressed_bytes += comp_len
-            self.raw_bytes += raw_len
+            self.raw_bytes += len(data)
             if not data:
                 continue
             batch = None
@@ -578,26 +470,21 @@ class V2BatchDecoder:
         return EventBatch.from_lists(etypes, col_a, col_b, col_t), error
 
 
-def make_decoder(version: int, handle: BinaryIO, path: str,
-                 state: dict | None = None, block_hook=None,
-                 columnar: bool = False):
-    if version == 1:
-        return V1Decoder(handle, path, state)
-    if version == 2:
-        if columnar:
-            return V2BatchDecoder(handle, path, state, block_hook)
-        return V2Decoder(handle, path, state, block_hook)
-    raise TraceError(f"cannot decode trace schema version {version}")
+def make_decoder(handle: BinaryIO, path: str, state: dict | None = None,
+                 block_hook=None, columnar: bool = False):
+    if columnar:
+        return V2BatchDecoder(handle, path, state, block_hook)
+    return V2Decoder(handle, path, state, block_hook)
 
 
-def encode_events(events: list[Event], version: int,
+def encode_events(events: list[Event],
                   block_bytes: int = DEFAULT_BLOCK_BYTES) -> bytes:
     """Encode absolute-timestamp events into one event-stream blob.
 
     Test/fuzz helper: the exact bytes a writer would put between the
     header and the footer, without building either.
     """
-    encoder = make_encoder(version, block_bytes)
+    encoder = V2Encoder(block_bytes)
     out = bytearray()
     last = 0
     for etype, a, b, t in events:
@@ -609,9 +496,8 @@ def encode_events(events: list[Event], version: int,
     return bytes(out)
 
 
-def decode_events(blob: bytes, version: int,
-                  path: str = "<blob>") -> list[Event]:
+def decode_events(blob: bytes, path: str = "<blob>") -> list[Event]:
     """Inverse of :func:`encode_events` (stops after FINISH)."""
     import io
 
-    return list(make_decoder(version, io.BytesIO(blob), path).events())
+    return list(V2Decoder(io.BytesIO(blob), path).events())

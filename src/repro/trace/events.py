@@ -3,28 +3,23 @@
 A trace file is::
 
     magic      8 bytes   b"ALCHTRC\\0"
-    version    u16 LE    1 or 2 (readers reject anything else)
+    version    u16 LE    2 (readers reject anything else)
     hdr_len    u32 LE
     header     hdr_len bytes of zlib-compressed JSON (TraceHeader)
-    events     the version-specific event stream, ended by FINISH
+    events     the event stream, ended by FINISH
     footer     zlib-compressed JSON (TraceFooter)
     ftr_len    u32 LE    footer length (trailing, so the footer can be
                          located from the end of the file too)
     trailer    8 bytes   b"ALCHEND\\0"
 
-Only the *events* section differs between versions (the codecs live in
-:mod:`repro.trace.codec`; the wire spec is ``docs/trace-format.md``):
-
-* **v1** — fixed 13-byte ``struct`` records ``<BIII``: a type byte, two
-  32-bit operands ``a``/``b``, and the timestamp *delta* since the
-  previous event (timestamps are instruction counts, monotone within a
-  run, so deltas are small and non-negative). Fixed-width records
-  decode an entire chunk with one :func:`struct.iter_unpack` call.
-* **v2** — delta-encoded, varint-packed records grouped into
-  zlib-compressed blocks: per record a type byte, the zigzag-varint
-  deltas of ``a`` and ``b`` against the previous record *of the same
-  type*, and the uvarint timestamp delta. 18-78x smaller than v1 on
-  the bundled workloads; the default for new recordings.
+The *events* section (codec in :mod:`repro.trace.codec`, wire spec in
+``docs/trace-format.md``) holds delta-encoded, varint-packed records
+grouped into zlib-compressed blocks: per record a type byte, the
+zigzag-varint deltas of ``a`` and ``b`` against the previous record
+*of the same type*, and the uvarint timestamp delta (timestamps are
+instruction counts, monotone within a run). Version 1 — fixed 13-byte
+records — is no longer read: such files raise
+:class:`TraceVersionError` and must be re-recorded from their source.
 
 The header embeds the program source (compressed) plus its SHA-256
 digest, so a trace is self-contained: replay recompiles the embedded
@@ -35,7 +30,7 @@ also names the sampling policy the recording ran under (``"full"``
 when every memory event was kept), so consumers can label sampled
 results as lower-confidence hints.
 
-Operands and deltas must fit 32 bits in either version; the writer
+Operands and deltas must fit 32 bits; the writer
 raises :class:`TraceError` otherwise (addresses are word indices, so
 this bounds traced memory at 4G words — far beyond any bundled
 workload).
@@ -52,19 +47,12 @@ from struct import Struct
 MAGIC = b"ALCHTRC\0"
 TRAILER = b"ALCHEND\0"
 
-TRACE_VERSION_V1 = 1
+#: The one schema version this code reads and writes.
 TRACE_VERSION_V2 = 2
-#: Versions the reader auto-detects.
-SUPPORTED_TRACE_VERSIONS = (TRACE_VERSION_V1, TRACE_VERSION_V2)
-#: What new recordings are written as unless told otherwise.
-DEFAULT_TRACE_VERSION = TRACE_VERSION_V2
-#: Deprecated alias (the schema number before v2 existed); kept so
-#: pre-v2 callers comparing against it keep meaning "v1".
-TRACE_VERSION = TRACE_VERSION_V1
-
-#: One event record: type byte, operand a, operand b, timestamp delta.
-RECORD = Struct("<BIII")
-RECORD_SIZE = RECORD.size
+#: Bytes per event of the retired v1 fixed-record format (``<BIII``),
+#: kept as the size baseline ``info`` and ``bench-sampling`` report
+#: against.
+V1_RECORD_BYTES = 13
 
 _VERSION_STRUCT = Struct("<H")
 _LEN_STRUCT = Struct("<I")
@@ -80,13 +68,11 @@ EV_WRITE = 6    #: a = address, b = pc
 EV_ALLOC = 7    #: a = block base, b = size
 EV_FREE = 8     #: a = range lo, b = range length (hi - lo); no timestamp
 EV_FINISH = 9   #: end of event stream
-#: Shard seam marker (v2 only): a = checkpoint ordinal. The marker is
-#: the last record of its compressed block; the matching snapshot —
-#: frame stack, construct stack, shadow memory, heap layout, codec
-#: deltas, and the absolute file offset of the next block — rides in
-#: the footer's ``checkpoints`` table so parallel replay can seek
-#: straight to the seam and resume decoding mid-file. Replay dispatch
-#: ignores the marker; it carries no analysis-visible information.
+#: Legacy shard seam marker (a = ordinal). Recorders once closed a
+#: block with it and put a matching snapshot in the footer's
+#: ``checkpoints`` table; nothing writes it now, but traces that carry
+#: it still decode, and replay, the shard scan and dispatch treat it
+#: as a no-op event.
 EV_CHECKPOINT = 10
 
 EVENT_NAMES = {
@@ -135,8 +121,8 @@ class TraceHeader:
     #: Function names in compilation order; ENTER/EXIT events index this.
     functions: list[str] = field(default_factory=list)
     #: Sampling policy spec the recording ran under ("full" = every
-    #: memory event kept). Pre-sampling v1 traces lack the key and
-    #: default here.
+    #: memory event kept). Traces recorded before sampling existed lack
+    #: the key and default here.
     sampling: str = "full"
 
     def to_bytes(self) -> bytes:
@@ -161,11 +147,6 @@ class TraceFooter:
     output: list[list[int]] = field(default_factory=list)
     events: int = 0
     final_time: int = 0
-    #: Checkpoint snapshots (JSON payloads, one per CHECKPOINT marker
-    #: in the event stream, in stream order) — see
-    #: :mod:`repro.trace.shards` for the payload schema. Empty for
-    #: traces recorded without checkpointing and for v1 traces.
-    checkpoints: list[dict] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
         payload = json.dumps(self.__dict__, separators=(",", ":"))
@@ -175,12 +156,15 @@ class TraceFooter:
     def from_bytes(cls, blob: bytes) -> "TraceFooter":
         try:
             data = json.loads(zlib.decompress(blob))
+            # Legacy record-time seam snapshots: read and ignored
+            # (shard seams now come only from the scan).
+            data.pop("checkpoints", None)
             return cls(**data)
         except (zlib.error, ValueError, TypeError) as exc:
             raise TraceError(f"corrupt trace footer: {exc}") from exc
 
 
-def pack_version(version: int = TRACE_VERSION) -> bytes:
+def pack_version(version: int = TRACE_VERSION_V2) -> bytes:
     return _VERSION_STRUCT.pack(version)
 
 

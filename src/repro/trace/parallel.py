@@ -3,7 +3,8 @@
 Serial replay walks the whole event stream through every analysis in
 one process, so wall-clock scales with trace length no matter how many
 cores the box has. This driver splits a checkpointed trace into
-independently replayable segments (:mod:`repro.trace.shards`), runs
+independently replayable segments at scan-built seams
+(:mod:`repro.trace.shards`), runs
 the full registered-analysis set over each segment in a worker
 process — each worker seeks straight to its seam, reconstructs memory
 and decoder state from the checkpoint, and replays only its slice —
@@ -41,7 +42,7 @@ from repro.trace.columnar import columnar_enabled
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
-                                TRACE_VERSION_V1, TraceError)
+                                TraceError)
 from repro.trace.reader import TraceReader
 from repro.trace.replay import dispatch_batches, replay_with
 from repro.trace.shards import (Checkpoint, ShardPlan, plan_shards,
@@ -153,12 +154,11 @@ def _replay_segment(job: dict, reader: TraceReader,
     replay_span = tm.span("segment.replay")
     replay_span.__enter__()
     try:
-        if (reader.version != TRACE_VERSION_V1
-                and columnar_enabled(job.get("columnar"))):
+        if columnar_enabled(job.get("columnar")):
             # Columnar fast path: whole blocks decoded into typed
             # columns, per-type delta state reseeded from the
             # checkpoint; the scalar loop below stays the reference
-            # semantics (and the path for v1 traces / disabled runs).
+            # semantics (and the path for disabled runs).
             final_time, consumed = dispatch_batches(
                 reader.batches_from(checkpoint.offset,
                                     checkpoint.decoder_state()),
@@ -190,7 +190,7 @@ def _replay_segment(job: dict, reader: TraceReader,
 def _replay_segment_scalar(reader: TraceReader, checkpoint: Checkpoint,
                            budget: int | None, analyses: list,
                            memory, functions) -> tuple[int, int]:
-    """Per-event segment replay (v1 traces, columnar disabled).
+    """Per-event segment replay (columnar disabled).
     Returns ``(final_time, events_consumed)``."""
     from repro.analyses import live_hooks
 
@@ -300,15 +300,15 @@ def parallel_replay(path: str | os.PathLike,
                     options: dict | None = None,
                     interval: int | None = None,
                     plugin_modules: tuple[str, ...] = (),
-                    allow_scan: bool = True,
                     telemetry=None,
                     columnar: bool | None = None) -> ParallelOutcome:
     """Replay ``path`` through the named analyses across ``jobs``
     workers; falls back to one serial pass when sharding cannot help
     (and says so in the outcome).
 
-    ``interval`` overrides the scan checkpoint interval for traces
-    recorded without embedded seams; ``plugin_modules`` are imported
+    ``interval`` sets the minimum events between scan-built seams
+    (default :data:`repro.trace.shards.DEFAULT_CHECKPOINT_INTERVAL`);
+    ``plugin_modules`` are imported
     in each worker before analyses resolve (the registry of a spawned
     process only knows the builtins). With an enabled ``telemetry``
     the coordinator opens a ``replay.parallel`` span and stitches each
@@ -333,8 +333,7 @@ def parallel_replay(path: str | os.PathLike,
         start = _time.perf_counter()
         unsupported = unsupported_analyses(names)
         if unsupported:
-            plan = ShardPlan(path=path, version=0, segments=[],
-                             source="serial")
+            plan = ShardPlan(path=path, segments=[])
             coord.set(mode="serial")
             return _serial_fallback(
                 path, names, options, plan, jobs, start,
@@ -343,9 +342,8 @@ def parallel_replay(path: str | os.PathLike,
         with tm.span("replay.plan"):
             plan = plan_shards(path, jobs,
                                interval=(interval if interval
-                                         else DEFAULT_CHECKPOINT_INTERVAL),
-                               allow_scan=allow_scan)
-        coord.set(segments=len(plan.segments), seams=plan.source)
+                                         else DEFAULT_CHECKPOINT_INTERVAL))
+        coord.set(segments=len(plan.segments))
         if not plan.is_parallel:
             coord.set(mode="serial")
             return _serial_fallback(path, names, options, plan, jobs,

@@ -46,8 +46,7 @@ from repro.trace.columnar import columnar_enabled
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
-                                TRACE_VERSION_V1, TraceError,
-                                source_digest)
+                                TraceError, source_digest)
 from repro.trace.reader import TraceReader
 
 # -- deprecated pre-registry names (thin shims) -----------------------------
@@ -226,7 +225,7 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
             elif etype == EV_BRANCH:
                 for hook in on_branch:
                     hook(a, b, t)
-            # EV_CHECKPOINT: shard seam marker, nothing to dispatch.
+            # EV_CHECKPOINT: legacy seam marker, nothing to dispatch.
 
     for batch in batches:
         if budget is not None and len(batch) > budget - consumed:
@@ -395,13 +394,12 @@ class ReplayEngine:
         (analyses may rebind hooks there) — dropping inherited no-op
         hooks from the dispatch.
 
-        v2 traces ride the columnar batch path when enabled (see
-        :func:`repro.trace.columnar.columnar_enabled`); v1 traces and
-        disabled runs use the per-event loop below, which stays the
-        reference semantics the batch path is tested against."""
+        Traces ride the columnar batch path when enabled (see
+        :func:`repro.trace.columnar.columnar_enabled`); disabled runs
+        use the per-event loop below, which stays the reference
+        semantics the batch path is tested against."""
         reader = self.reader
-        if (reader.version != TRACE_VERSION_V1
-                and columnar_enabled(self.columnar)):
+        if columnar_enabled(self.columnar):
             final_time, _ = dispatch_batches(
                 reader.batches(), consumers, memory, functions,
                 check_allocs=self.check_allocs)

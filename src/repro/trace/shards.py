@@ -18,18 +18,19 @@ streamed every earlier event:
   pc since that write, per tracked address, so dependence analyses
   pair cross-seam accesses exactly (attribution of those pairs is
   deferred to the merge — see ``repro.analyses.merging``);
-* **codec state** — the v2 per-type deltas and the clock at the block
+* **codec state** — the per-type deltas and the clock at the block
   boundary, plus the absolute file offset of the next block, so a
   reader seeks straight to the seam (`TraceReader.events_from`).
 
-The writer embeds checkpoints while recording (every
-``checkpoint_interval`` events it emits an ``EV_CHECKPOINT`` marker,
-flushes the current block and snapshots its mirror; payloads ride in
-the footer's ``checkpoints`` table). Traces recorded without them — v1
-traces, or v2 with ``--checkpoints 0`` — are checkpointed after the
-fact by :func:`build_checkpoints`, one serial scan that drives the
-same :class:`CheckpointBuilder` from the decoded stream (cached in a
-``.ckpt`` sidecar so repeated parallel replays pay it once).
+Recording does no checkpoint work. Seams are placed after the fact by
+:func:`build_checkpoints`, one serial scan that drives a
+:class:`CheckpointBuilder` from the decoded stream and snapshots it at
+block boundaries, cached in a ``.ckpt`` sidecar so repeated parallel
+replays pay it once. Seams therefore sit at block granularity (about
+16k events apart at the default 64 KB blocks). Traces recorded before
+this design may still carry ``EV_CHECKPOINT`` markers and a footer
+``checkpoints`` table; the markers are no-op events and the table is
+ignored.
 
 :func:`plan_shards` turns a trace plus a worker count into a list of
 :class:`Segment`\\ s — (checkpoint, end index) pairs that partition the
@@ -46,10 +47,10 @@ from dataclasses import dataclass, field
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
-                                RECORD_SIZE, TRACE_VERSION_V2, TraceError)
+                                TraceError)
 from repro.trace.reader import TraceReader
 
-#: Events between writer-embedded checkpoints (and the scan default).
+#: Minimum events between scan-built seams.
 DEFAULT_CHECKPOINT_INTERVAL = 50_000
 
 #: Sidecar filename suffix for scan-built checkpoints.
@@ -69,7 +70,7 @@ class Checkpoint:
 
     index: int                      #: events consumed before this seam
     time: int                       #: clock after those events
-    offset: int                     #: file offset of the next record/block
+    offset: int                     #: file offset of the next block
     codec: dict = field(default_factory=dict)
     frames: list = field(default_factory=list)
     last_popped: list | None = None
@@ -113,13 +114,13 @@ def genesis_checkpoint(events_start: int) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Writer/scanner-side state mirror
+# Scan-side state mirror
 # ---------------------------------------------------------------------------
 
 class MemoryMirror:
     """Frame and heap bookkeeping of :class:`Memory`, minus the cells.
 
-    The writer cannot afford a full Memory (push_frame zeroes cells),
+    The scan has no use for a full Memory (push_frame zeroes cells),
     and a checkpoint never needs values — only layout. The allocation
     decisions here must match ``Memory.heap_alloc``/``heap_free``
     *bit-for-bit* (same-size recycling pops the most recent free, else
@@ -194,8 +195,8 @@ class MemoryMirror:
 class CheckpointBuilder:
     """Replays the event stream into checkpointable state.
 
-    Fed one event at a time — by the :class:`TraceWriter` as it
-    records, or by :func:`build_checkpoints` as it scans — and mirrors
+    Fed one event at a time by :func:`build_checkpoints` as it scans,
+    and mirrors
     exactly what :class:`repro.trace.replay.ReplayEngine` would do with
     the same events: frames push before / pop after their events, heap
     blocks allocate and recycle deterministically, the execution index
@@ -348,7 +349,7 @@ def snapshot_memory(memory, header) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Scan-building checkpoints for traces recorded without them
+# Scan-building checkpoints
 # ---------------------------------------------------------------------------
 
 def _sparse_prev(prev_a: list[int], prev_b: list[int]) -> dict:
@@ -359,9 +360,8 @@ def _sparse_prev(prev_a: list[int], prev_b: list[int]) -> dict:
 def build_checkpoints(path: str | os.PathLike,
                       interval: int = DEFAULT_CHECKPOINT_INTERVAL
                       ) -> list[Checkpoint]:
-    """One serial scan producing checkpoints roughly every ``interval``
-    events: at block boundaries for v2, at exact record boundaries for
-    v1 (fixed records make every index seekable)."""
+    """One serial scan producing a checkpoint at the first block
+    boundary at least ``interval`` events past the previous seam."""
     from repro.ir.lowering import compile_source
 
     if interval <= 0:
@@ -374,35 +374,26 @@ def build_checkpoints(path: str | os.PathLike,
         builder = CheckpointBuilder(program, header.functions,
                                     header.heap_base)
         last_index = 0
-        if reader.version == TRACE_VERSION_V2:
-            pending: dict = {}
+        pending: dict = {}
 
-            def hook(offset, records, time, prev_a, prev_b):
-                pending["offset"] = offset
-                pending["records"] = records
-                pending["prev"] = _sparse_prev(prev_a, prev_b)
+        def hook(offset, records, time, prev_a, prev_b):
+            pending["offset"] = offset
+            pending["records"] = records
+            pending["prev"] = _sparse_prev(prev_a, prev_b)
 
-            # The scan rides the batch decoder: a checkpoint is only
-            # ever eligible at a block boundary (``pending["records"]``
-            # can equal ``builder.index`` nowhere else), so checking
-            # once per batch is exactly the per-event check.
-            apply = builder.apply
-            for batch in reader.batches(block_hook=hook):
-                if (pending and pending["records"] == builder.index
-                        and builder.index - last_index >= interval):
-                    checkpoints.append(builder.snapshot(
-                        pending["offset"], {"prev": pending["prev"]}))
-                    last_index = builder.index
-                for etype, a, b, t in batch.rows():
-                    apply(etype, a, b, t)
-        else:
-            start = reader.events_start
-            for etype, a, b, t in reader.events():
-                if builder.index - last_index >= interval:
-                    checkpoints.append(builder.snapshot(
-                        start + builder.index * RECORD_SIZE, {}))
-                    last_index = builder.index
-                builder.apply(etype, a, b, t)
+        # The scan rides the batch decoder: a checkpoint is only ever
+        # eligible at a block boundary (``pending["records"]`` can equal
+        # ``builder.index`` nowhere else), so checking once per batch is
+        # exactly the per-event check.
+        apply = builder.apply
+        for batch in reader.batches(block_hook=hook):
+            if (pending and pending["records"] == builder.index
+                    and builder.index - last_index >= interval):
+                checkpoints.append(builder.snapshot(
+                    pending["offset"], {"prev": pending["prev"]}))
+                last_index = builder.index
+            for etype, a, b, t in batch.rows():
+                apply(etype, a, b, t)
     return checkpoints
 
 
@@ -510,15 +501,10 @@ class Segment:
 
 @dataclass
 class ShardPlan:
-    """How one trace splits across workers."""
+    """How one trace splits across workers (one segment = serial)."""
 
     path: str
-    version: int
     segments: list[Segment]
-    #: Where the seams came from: "embedded" (written by the recorder),
-    #: "scan" (built after the fact), or "serial" (no seams usable).
-    source: str
-    total_events: int = 0
 
     @property
     def is_parallel(self) -> bool:
@@ -527,33 +513,27 @@ class ShardPlan:
 
 def plan_shards(path: str | os.PathLike, jobs: int,
                 interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                allow_scan: bool = True,
                 oversubscribe: int = 2) -> ShardPlan:
     """Choose the seams for a ``jobs``-worker replay of ``path``.
 
-    Prefers checkpoints embedded at record time; otherwise scans (and
-    sidecar-caches) unless ``allow_scan`` is off. With more seams than
-    needed, every ``stride``-th one is kept, targeting about
-    ``jobs * oversubscribe`` segments so the pool stays busy when
-    segments finish unevenly; fewer seams than workers degrades
-    gracefully to fewer (possibly one) segments.
+    Seams come from the scan, cached in the ``.ckpt`` sidecar. A seam
+    is a block boundary at least ``interval`` events into the trace,
+    so a trace of at most ``interval`` events has none: it gets the
+    serial plan without a scan and without a sidecar, as does
+    ``jobs <= 1``. With more seams than needed, every ``stride``-th
+    one is kept, targeting about ``jobs * oversubscribe`` segments so
+    the pool stays busy when segments finish unevenly; fewer seams than
+    workers degrades gracefully to fewer (possibly one) segments.
     """
     path = os.fspath(path)
     with TraceReader(path) as reader:
-        version = reader.version
         events_start = reader.events_start
-        payloads = reader.checkpoints()
         total = reader.read_footer().events
-    source = "embedded"
-    checkpoints = [Checkpoint.from_payload(p) for p in payloads]
-    if not checkpoints and allow_scan and jobs > 1:
-        checkpoints = load_or_build_checkpoints(path, interval)
-        source = "scan"
-    if not checkpoints or jobs <= 1:
+    checkpoints = (load_or_build_checkpoints(path, interval)
+                   if jobs > 1 and total > interval else [])
+    if not checkpoints:
         return ShardPlan(
-            path=path, version=version, source=(source if checkpoints
-                                                else "serial"),
-            total_events=total,
+            path=path,
             segments=[Segment(0, genesis_checkpoint(events_start), None)])
     target = max(2, jobs * max(1, oversubscribe))
     stride = max(1, (len(checkpoints) + 1) // target)
@@ -564,5 +544,4 @@ def plan_shards(path: str | os.PathLike, jobs: int,
         end = (starts[ordinal + 1].index
                if ordinal + 1 < len(starts) else None)
         segments.append(Segment(ordinal, start, end))
-    return ShardPlan(path=path, version=version, segments=segments,
-                     source=source, total_events=total)
+    return ShardPlan(path=path, segments=segments)

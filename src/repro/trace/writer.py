@@ -7,11 +7,12 @@ file. Recording is therefore far cheaper than profiling (no shadow
 memory, no index tree), and the resulting trace can be replayed through
 any number of analyses without touching the interpreter again.
 
-The on-disk encoding is pluggable by version (see
-:mod:`repro.trace.codec`): v1 writes fixed 13-byte records, v2 —
-the default — writes delta/varint records in zlib-compressed blocks,
-18-78x smaller on the bundled workloads (measured in
-``BENCH_sampling.json``). Recording can also run under a sampling
+The on-disk encoding (:mod:`repro.trace.codec`) is delta/varint
+records in zlib-compressed blocks, 18-78x smaller than fixed 13-byte
+records on the bundled workloads (measured in ``BENCH_sampling.json``).
+The writer does nothing per event beyond encoding: shard seams for
+parallel replay are placed afterwards by a scan
+(:mod:`repro.trace.shards`). Recording can also run under a sampling
 policy (:mod:`repro.sampling`): the policy gates which READ/WRITE
 events reach the file while every structural event (enter/exit, block,
 branch, alloc, free, finish) is always kept, so a sampled trace still
@@ -28,7 +29,6 @@ which the record helpers call with the run's exit value and output.
 from __future__ import annotations
 
 import os
-import time as _time
 from dataclasses import dataclass
 
 from repro.ir.cfg import ProgramIR
@@ -36,15 +36,12 @@ from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory
 from repro.runtime.tracing import Tracer
-from repro.trace.codec import DEFAULT_BLOCK_BYTES, make_encoder
-from repro.trace.events import (DEFAULT_TRACE_VERSION, EV_ALLOC, EV_BLOCK,
-                                EV_BRANCH, EV_CHECKPOINT, EV_ENTER,
+from repro.trace.codec import DEFAULT_BLOCK_BYTES, V2Encoder
+from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                 EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
-                                EV_WRITE, MAGIC, TRACE_VERSION_V2, TRAILER,
-                                TraceFooter, TraceHeader, check_u32,
-                                pack_length, pack_version, source_digest)
-from repro.trace.shards import (DEFAULT_CHECKPOINT_INTERVAL,
-                                CheckpointBuilder)
+                                EV_WRITE, MAGIC, TRAILER, TraceFooter,
+                                TraceHeader, check_u32, pack_length,
+                                pack_version, source_digest)
 
 
 class TraceWriter(Tracer):
@@ -59,48 +56,28 @@ class TraceWriter(Tracer):
         header together with its digest so the trace is self-contained.
     filename:
         Reported in the header for provenance only.
-    version:
-        Trace schema version to write (1 or 2; default v2).
     sampling:
         Spec string recorded in the header (``"full"`` unless the run
         is gated by a sampling policy — the *gating* itself is the
         policy's job, via :class:`repro.sampling.SampledTracer`).
     block_bytes:
-        v2 only: uncompressed bytes buffered per compressed block.
-    checkpoint_interval:
-        v2 only: emit a CHECKPOINT shard seam roughly every this many
-        events (``repro.trace.shards``). 0 disables checkpointing;
-        ``None`` uses :data:`DEFAULT_CHECKPOINT_INTERVAL`. Maintaining
-        the snapshot mirror costs roughly one extra dict operation per
-        event; v1 recordings never checkpoint (the scan builder covers
-        them after the fact).
+        Uncompressed bytes buffered per compressed block. Blocks are
+        also the granularity of shard seams, so tests that need dense
+        seams on small programs record with a small value.
     """
 
     def __init__(self, path: str | os.PathLike, source: str,
                  filename: str = "<input>", *,
-                 version: int = DEFAULT_TRACE_VERSION,
                  sampling: str = "full",
-                 block_bytes: int = DEFAULT_BLOCK_BYTES,
-                 checkpoint_interval: int | None = None):
+                 block_bytes: int = DEFAULT_BLOCK_BYTES):
         self.path = os.fspath(path)
         self.source = source
         self.filename = filename
-        self.version = version
         self.sampling = sampling
         self.events = 0
         self.final_time = 0
         self.closed = False
-        if checkpoint_interval is None:
-            checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        if checkpoint_interval < 0:
-            raise ValueError(f"checkpoint_interval must be >= 0, "
-                             f"got {checkpoint_interval}")
-        self.checkpoint_interval = (checkpoint_interval
-                                    if version == TRACE_VERSION_V2 else 0)
-        self._builder: CheckpointBuilder | None = None
-        self._checkpoints: list[dict] = []
-        self._last_checkpoint_index = 0
-        self._encoder = make_encoder(version, block_bytes)
+        self._encoder = V2Encoder(block_bytes)
         self._handle = open(self.path, "wb")
         self._last_time = 0
         self._fn_index: dict[str, int] = {}
@@ -122,12 +99,9 @@ class TraceWriter(Tracer):
         )
         blob = header.to_bytes()
         self._handle.write(MAGIC)
-        self._handle.write(pack_version(self.version))
+        self._handle.write(pack_version())
         self._handle.write(pack_length(len(blob)))
         self._handle.write(blob)
-        if self.checkpoint_interval:
-            self._builder = CheckpointBuilder(program, functions,
-                                              memory.heap_base)
 
     def on_finish(self, timestamp: int) -> None:
         self.final_time = timestamp
@@ -146,7 +120,6 @@ class TraceWriter(Tracer):
             output=[list(values) for values in (output or [])],
             events=self.events,
             final_time=self.final_time,
-            checkpoints=self._checkpoints,
         )
         blob = footer.to_bytes()
         handle.write(blob)
@@ -201,33 +174,8 @@ class TraceWriter(Tracer):
         encoder = self._encoder
         encoder.add(etype, a, b, delta)
         self.events += 1
-        builder = self._builder
-        if builder is not None:
-            builder.apply(etype, a, b, timestamp)
-            if (builder.index - self._last_checkpoint_index
-                    >= self.checkpoint_interval and etype != EV_FINISH):
-                self._take_checkpoint()
-                return
         if encoder.pending() >= encoder.flush_bytes:
             self._handle.write(encoder.take())
-
-    def _take_checkpoint(self) -> None:
-        """Emit a CHECKPOINT marker, seal the block, snapshot the seam.
-
-        The marker is the last record of the flushed block, so the
-        stored offset (taken after the flush) is exactly where the
-        next block — the first record of the next segment — begins.
-        """
-        builder = self._builder
-        encoder = self._encoder
-        ordinal = len(self._checkpoints)
-        encoder.add(EV_CHECKPOINT, ordinal, 0, 0)
-        self.events += 1
-        builder.apply(EV_CHECKPOINT, ordinal, 0, self._last_time)
-        self._handle.write(encoder.take())
-        checkpoint = builder.snapshot(self._handle.tell(), encoder.state())
-        self._checkpoints.append(checkpoint.to_payload())
-        self._last_checkpoint_index = builder.index
 
 
 @dataclass
@@ -240,20 +188,14 @@ class RecordResult:
     final_time: int
     trace_bytes: int
     wall_seconds: float
-    #: Schema version written and the sampling spec the run recorded
-    #: under ("full" = unsampled).
-    version: int = DEFAULT_TRACE_VERSION
+    #: Sampling spec the run recorded under ("full" = unsampled).
     sampling: str = "full"
-    #: Checkpoint shard seams embedded in the trace.
-    checkpoints: int = 0
 
 
 def record_program(program: ProgramIR, path: str | os.PathLike, *,
                    source: str, filename: str = "<input>",
                    max_steps: int = DEFAULT_MAX_STEPS,
-                   version: int = DEFAULT_TRACE_VERSION,
                    sampling=None,
-                   checkpoint_interval: int | None = None,
                    telemetry=None) -> RecordResult:
     """Run ``program`` under a :class:`TraceWriter`; returns the summary.
 
@@ -261,9 +203,7 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
     embedded in the trace and recompiled at replay time. ``sampling``
     accepts a spec string (``"interval:100"``) or an instantiated
     :class:`repro.sampling.SamplingPolicy`; memory events the policy
-    drops never reach the file. ``checkpoint_interval`` embeds shard
-    seams for parallel replay (v2; 0 disables, None = default).
-    ``telemetry`` wraps the run in a ``record`` span with writer and
+    drops never reach the file. ``telemetry`` wraps the run in a ``record`` span with writer and
     sampling-gate counters (tallies the stage keeps anyway — nothing
     is added per event).
     """
@@ -272,12 +212,10 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
 
     tm = as_telemetry(telemetry)
     policy = as_policy(sampling)
-    writer = TraceWriter(path, source, filename, version=version,
-                         sampling=policy.spec,
-                         checkpoint_interval=checkpoint_interval)
+    writer = TraceWriter(path, source, filename, sampling=policy.spec)
     tracer = (writer if policy.is_full
               else SampledTracer(policy, writer, telemetry=tm))
-    with tm.span("record", file=filename, version=version,
+    with tm.span("record", file=filename,
                  sampling=policy.spec) as span:
         try:
             interp = Interpreter(program, tracer, max_steps)
@@ -287,18 +225,16 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
             raise
         writer.close(exit_value, interp.output)
     trace_bytes = os.path.getsize(writer.path)
-    span.set(events=writer.events, checkpoints=len(writer._checkpoints))
+    span.set(events=writer.events)
     tm.count("trace.events_written", writer.events)
     tm.count("trace.bytes_written", trace_bytes)
-    tm.count("trace.checkpoint_seams_written", len(writer._checkpoints))
     if not policy.is_full and tm.enabled:
         tm.count("sampling.memory_events_kept", tracer.kept)
         tm.count("sampling.memory_events_dropped", tracer.dropped)
     get_logger(__name__).info(
         "recorded trace", extra={
             "trace": writer.path, "events": writer.events,
-            "bytes": trace_bytes, "version": version,
-            "sampling": policy.spec,
+            "bytes": trace_bytes, "sampling": policy.spec,
             "wall_seconds": round(span.wall_seconds, 6)})
     return RecordResult(
         path=writer.path,
@@ -307,18 +243,14 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
         final_time=writer.final_time,
         trace_bytes=trace_bytes,
         wall_seconds=span.wall_seconds,
-        version=version,
         sampling=policy.spec,
-        checkpoints=len(writer._checkpoints),
     )
 
 
 def record_source(source: str, path: str | os.PathLike, *,
                   filename: str = "<input>",
                   max_steps: int = DEFAULT_MAX_STEPS,
-                  version: int = DEFAULT_TRACE_VERSION,
                   sampling=None,
-                  checkpoint_interval: int | None = None,
                   telemetry=None) -> RecordResult:
     """Compile and record MiniC ``source`` into a trace at ``path``."""
     from repro.telemetry import as_telemetry
@@ -327,7 +259,5 @@ def record_source(source: str, path: str | os.PathLike, *,
     with tm.span("compile", file=filename):
         program = compile_source(source, filename)
     return record_program(program, path, source=source, filename=filename,
-                          max_steps=max_steps, version=version,
-                          sampling=sampling,
-                          checkpoint_interval=checkpoint_interval,
+                          max_steps=max_steps, sampling=sampling,
                           telemetry=tm)

@@ -196,6 +196,25 @@ class TestScreen:
             analyze_program(compile_source(ACC_LOOP), tm)
         assert tm.find_spans("static.analyze")
 
+    def test_report_for_memoizes_per_program(self):
+        program = compile_source(ACC_LOOP)
+        assert report_for(program) is report_for(program)
+        assert report_for(compile_source(ACC_LOOP)) is not \
+            report_for(program)
+
+    def test_report_for_does_not_keep_program_alive(self):
+        """The memoized report dies with its program: nothing global
+        holds either once the caller drops them."""
+        import gc
+        import weakref
+
+        program = compile_source(ACC_LOOP)
+        report = report_for(program)
+        ref = weakref.ref(program)
+        del program, report
+        gc.collect()
+        assert ref() is None
+
 
 class TestFusion:
     def test_full_trace_fusion_reports_no_contradictions(self):

@@ -170,10 +170,14 @@ class TestStreamDiscipline:
 
 
 class TestParallelMetrics:
-    def test_worker_spans_under_coordinator(self, minic_file, tmp_path):
+    def test_worker_spans_under_coordinator(self, tmp_path):
+        from repro.workloads import get
+
+        # bzip2 at 0.25 crosses the default seam interval.
+        source = tmp_path / "bzip2.mc"
+        source.write_text(get("bzip2", 0.25).source)
         trace = str(tmp_path / "seamed.trace")
-        assert main(["record", minic_file, "-o", trace,
-                     "--checkpoints", "40", "-q"]) == 0
+        assert main(["record", str(source), "-o", trace, "-q"]) == 0
         metrics = str(tmp_path / "m.json")
         assert main(["replay", trace, "--parallel", "--jobs", "2",
                      "--metrics", metrics, "-q"]) == 0

@@ -65,17 +65,18 @@ def test_parallel_replay_parity_with_telemetry(tmp_path):
     """Sharded replay with telemetry on: identical analysis payloads,
     and per-segment worker spans stitched under the coordinator."""
     from repro.trace.parallel import parallel_replay
-    from repro.trace.writer import record_source
+    from tests.trace.recording import record_blocks
 
     source = get("gzip", 0.25).source
     trace = str(tmp_path / "gzip.trace")
-    record_source(source, trace, checkpoint_interval=2000)
+    # Small blocks: scan seams at the old 2000-event density.
+    record_blocks(source, trace, block_bytes=2048)
 
     baseline = parallel_replay(trace, ("dep", "locality", "hot"),
                                jobs=1)
     tm = Telemetry()
     sharded = parallel_replay(trace, ("dep", "locality", "hot"),
-                              jobs=3, telemetry=tm)
+                              jobs=3, telemetry=tm, interval=2000)
     base = {n: r.to_dict() for n, r in baseline.reports.items()}
     got = {n: r.to_dict() for n, r in sharded.reports.items()}
     assert got == base

@@ -1,4 +1,4 @@
-"""CLI: the info verb, --sample/--format flags, and the exit-2
+"""CLI: the info verb, the --sample flag, and the exit-2
 contract on truncated or corrupt traces (no tracebacks, one line)."""
 
 from __future__ import annotations
@@ -45,15 +45,20 @@ class TestInfoVerb:
         assert "read=" in out and "write=" in out and "finish=1" in out
         assert "compressed" in out
 
-    def test_info_v1_trace(self, prog_file, tmp_path, capsys):
+    def test_info_v1_trace(self, trace_file, tmp_path, capsys):
+        """A retired v1 trace fails with the exit-2 contract and a
+        re-record hint, from info and from replay."""
+        from tests.trace.recording import write_v1_copy
+
         out_path = str(tmp_path / "v1.trace")
-        assert main(["record", prog_file, "-o", out_path,
-                     "--format", "1"]) == 0
+        write_v1_copy(trace_file, out_path)
         capsys.readouterr()
-        assert main(["info", out_path]) == 0
-        out = capsys.readouterr().out
-        assert "v1" in out
-        assert "uncompressed" in out
+        for verb in ("info", "replay"):
+            assert main([verb, out_path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "version 1" in err and "re-recorded" in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_info_sampled_trace(self, prog_file, tmp_path, capsys):
         out_path = str(tmp_path / "s.trace")

@@ -1,24 +1,25 @@
 """Randomized fuzz for checkpoint placement and reconstruction.
 
-Two independent oracles, checked at *every* checkpoint of randomly
-checkpointed traces:
+Two independent oracles, checked at *every* scan-built checkpoint of
+traces recorded with small blocks (seams sit at block boundaries) and
+scanned at random intervals:
 
 * **stream resumption** — decoding from the checkpoint's offset with
   its codec state must reproduce, record for record, the tail of a
-  serial decode paused at the same event index (this pins the v2
-  delta/clock seeding and the v1 offset arithmetic);
+  serial decode paused at the same event index (this pins the
+  delta/clock seeding);
 * **state reconstruction** — memory rebuilt via
   :func:`restore_memory` must equal a reference built by replaying
   the event prefix through the *real* :class:`Memory` (frames, stack
   top, heap blocks and free lists, allocation registry, popped-frame
   marker), and the checkpointed shadow/construct stacks must equal
   reference copies built with the real ShadowMemory/IndexingStack —
-  catching any drift between the writer's lightweight mirror and the
+  catching any drift between the scan's lightweight mirror and the
   semantics replay actually applies.
 
 Sources of randomness: bundled workloads under random checkpoint
-intervals (seeded), plus hypothesis-fuzzed random programs run
-end-to-end through record -> checkpoint -> verify.
+intervals and block sizes (seeded), plus hypothesis-fuzzed random
+programs run end-to-end through record -> scan -> verify.
 """
 
 import random
@@ -40,10 +41,10 @@ from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE)
 from repro.trace.reader import TraceReader
-from repro.trace.shards import Checkpoint, restore_memory
-from repro.trace.writer import record_source
+from repro.trace.shards import build_checkpoints, restore_memory
 from repro.workloads import get
 from tests.lang.test_pretty import _programs
+from tests.trace.recording import record_blocks, record_legacy
 
 
 class _Reference:
@@ -111,21 +112,14 @@ def _shadow_fingerprint(shadow: ShadowMemory):
     return out
 
 
-def _verify_trace(path):
-    """Assert both oracles at every embedded or scan-built checkpoint."""
+def _verify_trace(path, interval):
+    """Assert both oracles at every scan-built checkpoint; returns how
+    many there were."""
+    checkpoints = build_checkpoints(path, interval=interval)
     with TraceReader(path) as reader:
         header = reader.header
         program = compile_source(header.source, header.filename)
         serial_events = list(reader.events())
-        payloads = reader.checkpoints()
-        if not payloads:
-            from repro.trace.shards import build_checkpoints
-
-            checkpoints = build_checkpoints(
-                path, interval=max(1, len(serial_events) // 5))
-        else:
-            checkpoints = [Checkpoint.from_payload(p) for p in payloads]
-        assert checkpoints, "fuzz case produced no checkpoints"
 
         reference = _Reference(program, header)
         consumed = 0
@@ -161,6 +155,7 @@ def _verify_trace(path):
             assert checkpoint.time == (
                 serial_events[checkpoint.index - 1][3]
                 if checkpoint.index else 0)
+    return len(checkpoints)
 
 
 class TestWorkloadCheckpoints:
@@ -173,13 +168,18 @@ class TestWorkloadCheckpoints:
         for trial in range(3):
             interval = rng.randint(200, 4000)
             path = str(tmp_path / f"{workload}-{trial}.trace")
-            record_source(source, path, checkpoint_interval=interval)
-            _verify_trace(path)
+            record_blocks(source, path,
+                          block_bytes=rng.choice((128, 256, 512)))
+            assert _verify_trace(path, interval), \
+                "fuzz case produced no checkpoints"
 
-    def test_v1_scan_checkpoints(self, tmp_path):
-        path = str(tmp_path / "v1.trace")
-        record_source(get("gzip", 0.2).source, path, version=1)
-        _verify_trace(path)
+    def test_legacy_trace_scan_checkpoints(self, tmp_path):
+        """Scan seams over a trace carrying no-op EV_CHECKPOINT markers
+        (the pre-scan-only layout) hold to the same oracles."""
+        path = str(tmp_path / "legacy.trace")
+        record_legacy(get("gzip", 0.2).source, path, interval=1500,
+                      block_bytes=512)
+        assert _verify_trace(path, 1000)
 
 
 class TestRandomProgramCheckpoints:
@@ -197,10 +197,9 @@ class TestRandomProgramCheckpoints:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fuzz.trace")
             try:
-                result = record_source(source, path, max_steps=20_000,
-                                       checkpoint_interval=150)
+                record_blocks(source, path, block_bytes=64,
+                              max_steps=20_000)
             except (MiniCRuntimeError, StepLimitExceeded):
                 return  # wild pointers / infinite loops: legitimate
-            if result.checkpoints == 0:
-                return  # too short to seam — nothing to verify
-            _verify_trace(path)
+            # A program too short to seam has nothing to verify.
+            _verify_trace(path, 150)

@@ -1,4 +1,4 @@
-"""Round-trip fuzz: randomized event sequences survive both codecs.
+"""Round-trip fuzz: randomized event sequences survive the codec.
 
 The codec layer is driven directly (no interpreter, no file envelope):
 ``encode_events`` must invert through ``decode_events`` for arbitrary
@@ -64,20 +64,18 @@ class TestCodecFuzz:
             assert zigzag(n) == z
             assert unzigzag(z) == n
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("seed", range(8))
-    def test_roundtrip_random_streams(self, version, seed):
+    def test_roundtrip_random_streams(self, seed):
         rng = random.Random(seed)
         events = random_events(rng, rng.randint(1, 400))
-        blob = encode_events(events, version)
-        assert decode_events(blob, version) == events
+        blob = encode_events(events)
+        assert decode_events(blob) == events
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_roundtrip_empty_trace(self, version):
+    def test_roundtrip_empty_trace(self):
         """The degenerate stream: FINISH and nothing else."""
         events = [(EV_FINISH, 0, 0, 0)]
-        blob = encode_events(events, version)
-        assert decode_events(blob, version) == events
+        blob = encode_events(events)
+        assert decode_events(blob) == events
 
     @pytest.mark.parametrize("seed", range(8))
     def test_roundtrip_across_block_boundaries(self, seed):
@@ -85,11 +83,10 @@ class TestCodecFuzz:
         delta state must survive the block seams."""
         rng = random.Random(1000 + seed)
         events = random_events(rng, 300)
-        blob = encode_events(events, 2, block_bytes=16)
-        assert decode_events(blob, 2) == events
+        blob = encode_events(events, block_bytes=16)
+        assert decode_events(blob) == events
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_extreme_operands(self, version):
+    def test_extreme_operands(self):
         events = [
             (EV_READ, U32, 0, 0),
             (EV_READ, 0, U32, 0),       # max negative per-type delta
@@ -97,28 +94,28 @@ class TestCodecFuzz:
             (EV_READ, U32, 0, U32),
             (EV_FINISH, 0, 0, U32),
         ]
-        blob = encode_events(events, version)
-        assert decode_events(blob, version) == events
+        blob = encode_events(events)
+        assert decode_events(blob) == events
 
     def test_missing_finish_is_truncation(self):
         events = [(EV_READ, 1, 2, 3)]
-        blob = encode_events(events, 2)
+        blob = encode_events(events)
         with pytest.raises(TraceTruncatedError):
-            decode_events(blob, 2)
+            decode_events(blob)
 
     def test_zero_events_is_truncation(self):
-        for version in (1, 2):
-            with pytest.raises(TraceTruncatedError):
-                decode_events(b"", version)
+        with pytest.raises(TraceTruncatedError):
+            decode_events(b"")
 
 
 class TestFullFileFuzz:
     """The same property through the writer/reader envelope: random
-    programs record and replay identically in both formats."""
+    programs record identically whatever the block size."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_program_roundtrip_both_formats(self, seed, tmp_path):
         from repro.trace import TraceReader, record_source
+        from tests.trace.recording import record_blocks
 
         rng = random.Random(seed)
         n = rng.randint(5, 40)
@@ -135,9 +132,9 @@ class TestFullFileFuzz:
             return 0;
         }}
         """
-        v1 = tmp_path / "v1.trace"
-        v2 = tmp_path / "v2.trace"
-        record_source(source, v1, version=1)
-        record_source(source, v2, version=2)
-        with TraceReader(v1) as ra, TraceReader(v2) as rb:
+        one = tmp_path / "one-block.trace"
+        many = tmp_path / "many-blocks.trace"
+        record_source(source, one)
+        record_blocks(source, many, block_bytes=rng.choice((16, 64, 256)))
+        with TraceReader(one) as ra, TraceReader(many) as rb:
             assert list(ra.events()) == list(rb.events())

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.trace.codec import (BLOCK_HEADER, MAX_VARINT_BYTES, V2Decoder,
                                V2BatchDecoder, V2Encoder, encode_events,
-                               make_encoder, read_uvarint)
+                               read_uvarint)
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
@@ -88,7 +88,7 @@ class TestStreamEquivalence:
         """Valid and FINISH-less streams: identical events, identical
         termination (StopIteration vs the missing-FINISH error)."""
         events = absolutize(records, finish)
-        blob = encode_events(events, 2, block_bytes)
+        blob = encode_events(events, block_bytes)
         scalar, batch = both(blob)
         assert batch == scalar
         if finish:
@@ -100,23 +100,32 @@ class TestStreamEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_resume_from_checkpoint_state(self, records, split,
                                           block_bytes):
-        """Decoding the tail blocks seeded with the encoder's captured
-        ``state`` dict: both decoders reconstruct the same suffix."""
+        """Decoding the tail blocks seeded with the ``state`` dict a
+        decoder's block hook reports at the seam (what the shard scan
+        stores): both decoders reconstruct the same suffix."""
         events = absolutize(records, True)
-        encoder = make_encoder(2, block_bytes)
+        encoder = V2Encoder(block_bytes)
         head = bytearray()
         last = 0
         for etype, a, b, t in events[:split]:
             encoder.add(etype, a, b, t - last)
             last = t
         head += encoder.take()
-        state = encoder.state()
-        state["time"] = last
+        seams = {}
+
+        def hook(offset, records, time, prev_a, prev_b):
+            seams[offset] = {"time": time, "prev": {
+                str(etype): [prev_a[etype], prev_b[etype]]
+                for etype in range(256) if prev_a[etype] or prev_b[etype]}}
+
         tail = bytearray()
         for etype, a, b, t in events[split:]:
             encoder.add(etype, a, b, t - last)
             last = t
         tail += encoder.take()
+        list(V2Decoder(io.BytesIO(bytes(head + tail)), "<t>",
+                       block_hook=hook).events())
+        state = seams[len(head)]
         scalar, batch = both(bytes(tail), state=state)
         assert batch == scalar
         assert scalar == (events[split:], None, "")
@@ -128,7 +137,7 @@ class TestStreamEquivalence:
     def test_truncation_equivalence(self, records, block_bytes, cut):
         """Any prefix of a valid stream: same events, same typed
         truncation error, same message."""
-        blob = encode_events(absolutize(records, True), 2, block_bytes)
+        blob = encode_events(absolutize(records, True), block_bytes)
         scalar, batch = both(blob[:cut % (len(blob) + 1)])
         assert batch == scalar
 
@@ -141,7 +150,7 @@ class TestStreamEquivalence:
         """Random byte flips anywhere in the framed stream — headers,
         compressed payloads, lengths: still the same prefix-then-error
         behaviour from both decoders."""
-        blob = bytearray(encode_events(absolutize(records, True), 2,
+        blob = bytearray(encode_events(absolutize(records, True),
                                        block_bytes))
         rng = random.Random(seed)
         for _ in range(rng.randint(1, 4)):
@@ -247,12 +256,13 @@ class TestEngineParity:
 
     @pytest.fixture(scope="class")
     def trace(self, tmp_path_factory):
-        from repro.trace.writer import record_source
         from repro.workloads import get
+        from tests.trace.recording import record_legacy
 
+        # The legacy layout puts no-op EV_CHECKPOINT markers in the
+        # stream, which both engines must skip alike.
         path = str(tmp_path_factory.mktemp("col") / "wl.trace")
-        record_source(get("aes", 0.25).source, path,
-                      checkpoint_interval=2000)
+        record_legacy(get("aes", 0.25).source, path, interval=2000)
         return path
 
     def test_all_registered_analyses_identical(self, trace):

@@ -1,9 +1,9 @@
 """Differential harness: parallel sharded replay vs one serial pass.
 
 The contract under test is exact equality — ``to_dict()`` *and*
-rendered text — for every registered analysis, over both trace
-formats, across worker counts including one that does not divide the
-segment count. Parametrization goes through the live registry, so an
+rendered text — for every registered analysis, at two seam densities,
+across worker counts including one that does not divide the segment
+count. Parametrization goes through the live registry, so an
 analysis registered later is automatically held to the same standard
 (or must explicitly opt out of ``supports_segments``, in which case
 the driver's serial fallback is asserted instead).
@@ -19,20 +19,27 @@ from repro.trace.replay import replay_trace
 from repro.trace.shards import plan_shards
 from repro.trace.writer import record_source
 from repro.workloads import get
+from tests.trace.recording import record_blocks, record_legacy
 
 #: Worker counts: serial fallback, even split, oversubscribed, and a
 #: count that does not divide the segment total.
 JOB_COUNTS = (1, 2, 4, 7)
-FORMATS = (1, 2)
+#: Seam interval multipliers: a seam at (about) every INTERVAL events,
+#: and at every 2 * INTERVAL, which moves every cut but the first.
+STRIDES = (1, 2)
 
 #: Small but structurally rich: gzip exercises globals + arrays +
 #: deep call nesting; wordcount exercises heap allocation/recycling
 #: (the hard cases for checkpointed memory reconstruction).
 WORKLOADS = {"gzip": 0.25, "wordcount": 0.6}
 
-#: Events between embedded checkpoints — small enough that every
+#: Minimum events between scan seams — small enough that every
 #: bundled trace yields well over 7 segments.
 INTERVAL = 1200
+
+#: Block size of the parity recordings: scan seams sit at block
+#: boundaries, so blocks must be well under INTERVAL events.
+BLOCK_BYTES = 1024
 
 
 def _segmented_names():
@@ -42,16 +49,16 @@ def _segmented_names():
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
-    """(workload, format) -> trace path, recorded once per module."""
+    """(workload, stride) -> trace path, recorded once per module (one
+    file per stride, so each keeps its own sidecar)."""
     root = tmp_path_factory.mktemp("parity-traces")
     paths = {}
     for name, scale in WORKLOADS.items():
         workload = get(name, scale)
-        for version in FORMATS:
-            path = str(root / f"{name}-v{version}.trace")
-            record_source(workload.source, path, version=version,
-                          checkpoint_interval=INTERVAL)
-            paths[name, version] = path
+        for stride in STRIDES:
+            path = str(root / f"{name}-x{stride}.trace")
+            record_blocks(workload.source, path, block_bytes=BLOCK_BYTES)
+            paths[name, stride] = path
     return paths
 
 
@@ -62,24 +69,24 @@ def outcomes(traces):
     names = _segmented_names()
     serial = {}
     parallel = {}
-    for (workload, version), path in traces.items():
-        serial[workload, version] = replay_trace(path, names)
+    for (workload, stride), path in traces.items():
+        serial[workload, stride] = replay_trace(path, names)
         for jobs in JOB_COUNTS:
-            parallel[workload, version, jobs] = parallel_replay(
-                path, names, jobs=jobs, interval=INTERVAL)
+            parallel[workload, stride, jobs] = parallel_replay(
+                path, names, jobs=jobs, interval=INTERVAL * stride)
     return serial, parallel
 
 
 class TestParity:
     @pytest.mark.parametrize("analysis", _segmented_names())
-    @pytest.mark.parametrize("version", FORMATS)
+    @pytest.mark.parametrize("stride", STRIDES)
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_merged_equals_serial(self, outcomes, workload, version,
+    def test_merged_equals_serial(self, outcomes, workload, stride,
                                   jobs, analysis):
         serial, parallel = outcomes
-        expected = serial[workload, version].reports[analysis]
-        actual = parallel[workload, version, jobs].reports[analysis]
+        expected = serial[workload, stride].reports[analysis]
+        actual = parallel[workload, stride, jobs].reports[analysis]
         assert actual.to_dict() == expected.to_dict()
         assert actual.text == expected.text
 
@@ -88,11 +95,11 @@ class TestParity:
 
     def test_parallel_mode_actually_engaged(self, outcomes):
         _serial, parallel = outcomes
-        for (workload, version, jobs), outcome in parallel.items():
+        for (workload, stride, jobs), outcome in parallel.items():
             if jobs == 1:
-                assert outcome.mode == "serial", (workload, version)
+                assert outcome.mode == "serial", (workload, stride)
             else:
-                assert outcome.mode == "parallel", (workload, version,
+                assert outcome.mode == "parallel", (workload, stride,
                                                     jobs)
                 assert len(outcome.plan.segments) > 1
 
@@ -101,18 +108,18 @@ class TestParity:
         is still replayed exactly once (counts analysis is a watertight
         event-conservation check)."""
         path = traces["gzip", 2]
-        plan = plan_shards(path, 7, interval=INTERVAL)
+        plan = plan_shards(path, 7, interval=INTERVAL * 2)
         assert len(plan.segments) % 7 != 0
         serial = replay_trace(path, ["counts"])
         par = parallel_replay(path, ["counts"], jobs=7,
-                              interval=INTERVAL)
+                              interval=INTERVAL * 2)
         assert par.reports["counts"].to_dict() == \
             serial.reports["counts"].to_dict()
 
 
 class TestOptionsParity:
     def test_analysis_options_reach_workers(self, traces):
-        path = traces["gzip", 2]
+        path = traces["gzip", 1]
         options = {"hot": {"top": 3}, "dep": {"track_war_waw": False}}
         from repro.trace.replay import replay_with
         from repro.analyses import make_analyses
@@ -143,7 +150,7 @@ class TestFallbacks:
 
         register(Stub)
         try:
-            path = traces["gzip", 2]
+            path = traces["gzip", 1]
             outcome = parallel_replay(path, ["counts", "parity-stub"],
                                       jobs=4, interval=INTERVAL)
             assert outcome.mode == "serial"
@@ -153,33 +160,45 @@ class TestFallbacks:
             unregister("parity-stub")
 
     def test_trace_without_seams_falls_back(self, tmp_path):
+        """A trace of at most ``interval`` events cannot hold a seam:
+        the plan is serial without a scan, and no sidecar is written."""
         workload = get("gzip", 0.1)
         path = str(tmp_path / "noseams.trace")
-        record_source(workload.source, path, checkpoint_interval=0)
+        result = record_source(workload.source, path)
         outcome = parallel_replay(path, ["counts"], jobs=4,
-                                  allow_scan=False)
+                                  interval=result.events)
         assert outcome.mode == "serial"
         assert "seams" in outcome.fallback_reason
         assert not os.path.exists(path + ".ckpt")
 
-    def test_scan_builds_seams_for_v1(self, tmp_path):
-        """v1 traces predate checkpoints entirely; the scan builder
-        makes them shardable after the fact (and caches a sidecar)."""
-        workload = get("gzip", 0.25)
-        path = str(tmp_path / "old.trace")
-        record_source(workload.source, path, version=1)
-        serial = replay_trace(path, ["dep", "locality"])
-        outcome = parallel_replay(path, ["dep", "locality"], jobs=4,
+    def test_legacy_trace_replays_and_shards_like_serial(self, tmp_path):
+        """A trace written before seams became scan-only — EV_CHECKPOINT
+        markers in the stream, a ``checkpoints`` table in the footer —
+        replays like a fresh recording of the same run, and shards at
+        scan-built seams (cached in a sidecar) equal to serial."""
+        names = _segmented_names()
+        workload = get("wordcount", 0.6)
+        fresh = str(tmp_path / "fresh.trace")
+        legacy = str(tmp_path / "legacy.trace")
+        record_source(workload.source, fresh)
+        writer = record_legacy(workload.source, legacy, interval=INTERVAL,
+                               block_bytes=BLOCK_BYTES)
+        assert writer.payloads
+        serial = replay_trace(legacy, names)
+        baseline = replay_trace(fresh, names)
+        outcome = parallel_replay(legacy, names, jobs=4,
                                   interval=INTERVAL)
         assert outcome.mode == "parallel"
-        assert outcome.plan.source == "scan"
-        assert os.path.exists(path + ".ckpt")
-        for name in ("dep", "locality"):
+        assert os.path.exists(legacy + ".ckpt")
+        for name in names:
+            assert serial.reports[name].to_dict() == \
+                baseline.reports[name].to_dict()
             assert outcome.reports[name].to_dict() == \
                 serial.reports[name].to_dict()
         # Second run must reuse the sidecar (same plan, same results).
-        again = parallel_replay(path, ["dep"], jobs=4,
+        again = parallel_replay(legacy, ["dep"], jobs=4,
                                 interval=INTERVAL)
         assert again.mode == "parallel"
+        assert len(again.plan.segments) == len(outcome.plan.segments)
         assert again.reports["dep"].to_dict() == \
             serial.reports["dep"].to_dict()

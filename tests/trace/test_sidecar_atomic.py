@@ -14,7 +14,7 @@ import pytest
 
 from repro.trace.shards import (SIDECAR_SUFFIX, _write_sidecar,
                                 load_or_build_checkpoints)
-from repro.trace.writer import record_source
+from tests.trace.recording import record_blocks
 
 SOURCE = """
 int a[32];
@@ -29,10 +29,9 @@ int main() {
 @pytest.fixture
 def trace(tmp_path):
     path = str(tmp_path / "scan.trace")
-    # v1, no embedded seams: the scan path can cut at any record, so a
-    # small trace still yields checkpoints (v2 scans only cut at block
-    # seams, and this trace fits one block).
-    record_source(SOURCE, path, version=1, checkpoint_interval=0)
+    # Scans cut only at block boundaries and this program fits one
+    # default block, so record with small blocks to give it seams.
+    record_blocks(SOURCE, path, block_bytes=64)
     return path
 
 

@@ -8,12 +8,12 @@ import pytest
 
 from repro.runtime.interpreter import run_source
 from repro.runtime.tracing import CountingTracer
-from repro.trace import (TRACE_VERSION, TraceError, TraceReader,
-                         TraceTruncatedError, TraceVersionError,
-                         record_source)
+from repro.trace import (TraceError, TraceReader, TraceTruncatedError,
+                         TraceVersionError, record_source)
+from repro.trace.codec import BLOCK_HEADER, BLOCK_HEADER_SIZE
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                 EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
-                                EV_WRITE, MAGIC, RECORD_SIZE, source_digest)
+                                EV_WRITE, MAGIC, source_digest)
 
 SMALL = """
 int a[32];
@@ -48,14 +48,15 @@ int main() {
 """
 
 
-# These tests exercise the v1 wire format specifically (fixed 13-byte
-# records); tests/trace/test_v2_format.py covers the v2 counterparts.
+# Envelope-level properties: round trip against a live run, header and
+# footer, schema errors and truncation. tests/trace/test_v2_format.py
+# covers the block codec's own corruption cases.
 
 
 @pytest.fixture
 def small_trace(tmp_path):
     path = tmp_path / "small.trace"
-    result = record_source(SMALL, path, version=1)
+    result = record_source(SMALL, path)
     return path, result
 
 
@@ -141,8 +142,7 @@ class TestRoundTrip:
 
 class TestSchemaErrors:
     def test_version_mismatch_rejected(self, small_trace, tmp_path):
-        """Versions outside the supported set (1, 2) are rejected; v2
-        is auto-detected, so it is no longer a mismatch."""
+        """Any schema version but 2 is rejected."""
         path, _ = small_trace
         blob = bytearray(path.read_bytes())
         offset = len(MAGIC)
@@ -151,6 +151,17 @@ class TestSchemaErrors:
         bad.write_bytes(blob)
         with pytest.raises(TraceVersionError):
             TraceReader(bad)
+
+    def test_v1_file_rejected(self, small_trace, tmp_path):
+        """The retired fixed-record format is refused up front, with a
+        hint to re-record."""
+        from tests.trace.recording import write_v1_copy
+
+        path, _ = small_trace
+        old = tmp_path / "old.trace"
+        write_v1_copy(path, old)
+        with pytest.raises(TraceVersionError, match="re-recorded"):
+            TraceReader(old)
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.trace"
@@ -172,11 +183,15 @@ class TestTruncation:
         return bad
 
     def test_truncated_mid_events(self, small_trace, tmp_path):
-        path, result = small_trace
-        size = path.stat().st_size
+        path, _ = small_trace
+        with TraceReader(path) as reader:
+            start = reader.events_start
+        blob = path.read_bytes()
+        comp_len, _raw = BLOCK_HEADER.unpack(
+            blob[start:start + BLOCK_HEADER_SIZE])
         # Cut deep inside the event stream (well before the footer).
-        bad = self._truncate(path, tmp_path, size - result.events
-                             * RECORD_SIZE // 2)
+        bad = self._truncate(path, tmp_path,
+                             start + BLOCK_HEADER_SIZE + comp_len // 2)
         with pytest.raises(TraceTruncatedError):
             with TraceReader(bad) as reader:
                 for _ in reader.events():
@@ -186,7 +201,8 @@ class TestTruncation:
         path, _ = small_trace
         with TraceReader(path) as reader:
             start = reader._events_start
-        bad = self._truncate(path, tmp_path, start + RECORD_SIZE * 3 + 5)
+        # A few bytes into the first block: records exist but are cut.
+        bad = self._truncate(path, tmp_path, start + BLOCK_HEADER_SIZE + 5)
         with pytest.raises(TraceTruncatedError):
             with TraceReader(bad) as reader:
                 for _ in reader.events():

@@ -1,4 +1,4 @@
-"""Trace format v2: parity with v1, compression, corruption handling."""
+"""Trace format v2: block layout, compression, corruption handling."""
 
 from __future__ import annotations
 
@@ -6,10 +6,13 @@ import zlib
 
 import pytest
 
-from repro.trace import (DEFAULT_TRACE_VERSION, TraceError, TraceReader,
+from repro.bench.sampling import v1_equivalent_bytes
+from repro.trace import (TRACE_VERSION_V2, TraceError, TraceReader,
                          TraceTruncatedError, record_source)
 from repro.trace.codec import BLOCK_HEADER, BLOCK_HEADER_SIZE
+from repro.trace.events import EV_CHECKPOINT, source_digest
 from repro.trace.replay import replay_trace
+from tests.trace.recording import record_blocks, record_legacy
 
 SMALL = """
 int a[32];
@@ -45,65 +48,60 @@ int main() {
 
 @pytest.fixture
 def both_traces(tmp_path):
-    v1 = tmp_path / "v1.trace"
-    v2 = tmp_path / "v2.trace"
-    r1 = record_source(SMALL, v1, version=1)
-    r2 = record_source(SMALL, v2, version=2)
-    return (v1, r1), (v2, r2)
+    """SMALL recorded twice: one default block, and tiny blocks."""
+    one = tmp_path / "one-block.trace"
+    many = tmp_path / "many-blocks.trace"
+    r1 = record_source(SMALL, one)
+    writer = record_blocks(SMALL, many, block_bytes=64)
+    return (many, writer), (one, r1)
 
 
 class TestParity:
     def test_default_version_is_v2(self, tmp_path):
-        assert DEFAULT_TRACE_VERSION == 2
         path = tmp_path / "default.trace"
         record_source(SMALL, path)
         with TraceReader(path) as reader:
-            assert reader.version == 2
+            assert reader.version == TRACE_VERSION_V2 == 2
 
-    def test_event_streams_identical(self, both_traces):
-        (v1, _), (v2, _) = both_traces
-        with TraceReader(v1) as ra, TraceReader(v2) as rb:
-            assert list(ra.events()) == list(rb.events())
-            assert ra.footer.events == rb.footer.events
+    def test_event_streams_identical(self, tmp_path):
+        """A trace in the pre-scan-only layout differs from a fresh
+        recording only by its no-op EV_CHECKPOINT markers."""
+        fresh = tmp_path / "fresh.trace"
+        legacy = tmp_path / "legacy.trace"
+        record_source(LOOPY, fresh)
+        writer = record_legacy(LOOPY, legacy, interval=2000)
+        assert writer.payloads
+        with TraceReader(fresh) as ra, TraceReader(legacy) as rb:
+            markers = [e for e in rb.events() if e[0] == EV_CHECKPOINT]
+            assert len(markers) == len(writer.payloads)
+            assert list(ra.events()) == [e for e in rb.events()
+                                         if e[0] != EV_CHECKPOINT]
+            assert rb.footer.events == ra.footer.events + len(markers)
             assert ra.footer.final_time == rb.footer.final_time
 
     def test_header_and_versions(self, both_traces):
-        (v1, _), (v2, _) = both_traces
-        with TraceReader(v1) as ra, TraceReader(v2) as rb:
-            assert ra.version == 1
-            assert rb.version == 2
-            assert ra.header.digest == rb.header.digest
+        (many, _), (one, _) = both_traces
+        with TraceReader(many) as ra, TraceReader(one) as rb:
+            assert ra.version == rb.version == 2
+            assert ra.header.digest == rb.header.digest \
+                == source_digest(SMALL)
             assert rb.header.sampling == "full"
 
     def test_replay_results_identical(self, both_traces):
-        """The analyses cannot tell which wire format fed them."""
-        (v1, _), (v2, _) = both_traces
-        o1 = replay_trace(str(v1), ("dep", "locality", "hot", "counts"))
-        o2 = replay_trace(str(v2), ("dep", "locality", "hot", "counts"))
+        """The analyses cannot tell how the records were blocked."""
+        (many, _), (one, _) = both_traces
+        o1 = replay_trace(str(many), ("dep", "locality", "hot", "counts"))
+        o2 = replay_trace(str(one), ("dep", "locality", "hot", "counts"))
         for name in o1.reports:
             assert o1.reports[name].to_dict() == o2.reports[name].to_dict()
 
     def test_v2_is_much_smaller(self, tmp_path):
-        v1 = tmp_path / "v1.trace"
-        v2 = tmp_path / "v2.trace"
-        # checkpoint_interval=0: compare the bare wire formats (default
-        # checkpointing would add marker records + footer snapshots).
-        r1 = record_source(LOOPY, v1, version=1)
-        r2 = record_source(LOOPY, v2, version=2, checkpoint_interval=0)
-        assert r1.events == r2.events
-        assert r1.trace_bytes > 5 * r2.trace_bytes
-
-    def test_checkpointed_trace_still_much_smaller_than_v1(self, tmp_path):
-        """Default checkpointing (markers + footer snapshots) must not
-        eat the v2 size win."""
-        v1 = tmp_path / "v1.trace"
-        v2 = tmp_path / "v2.trace"
-        r1 = record_source(LOOPY, v1, version=1)
-        r2 = record_source(LOOPY, v2, version=2,
-                           checkpoint_interval=10_000)
-        with TraceReader(str(v2)) as reader:
-            assert reader.checkpoints()
-        assert r1.trace_bytes > 3 * r2.trace_bytes
+        """More than 5x smaller than the same events as 13-byte v1
+        records inside the same envelope."""
+        path = tmp_path / "v2.trace"
+        result = record_source(LOOPY, path)
+        assert v1_equivalent_bytes(str(path), result.events) \
+            > 5 * result.trace_bytes
 
     def test_multiple_blocks_roundtrip(self, tmp_path):
         """A tiny block size forces many blocks; decoding still matches
@@ -114,9 +112,9 @@ class TestParity:
 
         big = tmp_path / "one-block.trace"
         small = tmp_path / "many-blocks.trace"
-        record_source(SMALL, big, version=2)
+        record_source(SMALL, big)
         program = compile_source(SMALL, "<input>")
-        writer = TraceWriter(small, SMALL, version=2, block_bytes=64)
+        writer = TraceWriter(small, SMALL, block_bytes=64)
         interp = Interpreter(program, writer)
         exit_value = interp.run()
         writer.close(exit_value, interp.output)
@@ -230,11 +228,54 @@ class TestCorruption:
         with pytest.raises(TraceError, match="length mismatch"):
             self._consume(bad)
 
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_inflation_bomb_is_bounded(self, columnar):
+        """A block that declares 16 bytes but inflates to 64 MB is
+        rejected after inflating at most 17, by both decoders."""
+        import io
+        import tracemalloc
+
+        from repro.trace.codec import make_decoder
+
+        deflater = zlib.compressobj(9)
+        chunk = bytes(1 << 20)
+        payload = b"".join(deflater.compress(chunk) for _ in range(64))
+        payload += deflater.flush()
+        blob = BLOCK_HEADER.pack(len(payload), 16) + payload
+        decoder = make_decoder(io.BytesIO(blob), "<bomb>",
+                               columnar=columnar)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceError, match="length mismatch"):
+                list(decoder.events())
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_trailing_bytes_after_stream_rejected(self, both_traces,
+                                                  tmp_path):
+        """Input left over after the compressed stream ends is not a
+        well-formed block."""
+        _, (v2, _) = both_traces
+        blob = v2.read_bytes()
+        start = self._events_start(v2)
+        comp_len, raw_len = BLOCK_HEADER.unpack(
+            blob[start:start + BLOCK_HEADER_SIZE])
+        body = start + BLOCK_HEADER_SIZE
+        bad = tmp_path / "trailing.trace"
+        bad.write_bytes(blob[:start]
+                        + BLOCK_HEADER.pack(comp_len + 3, raw_len)
+                        + blob[body:body + comp_len] + b"xyz"
+                        + blob[body + comp_len:])
+        with pytest.raises(TraceError, match="length mismatch"):
+            self._consume(bad)
+
     def test_aborted_recording_is_truncated(self, tmp_path):
         from repro.runtime.errors import StepLimitExceeded
 
         path = tmp_path / "aborted.trace"
         with pytest.raises(StepLimitExceeded):
-            record_source(SMALL, path, max_steps=100, version=2)
+            record_source(SMALL, path, max_steps=100)
         with pytest.raises(TraceTruncatedError):
             self._consume(path)
