@@ -13,7 +13,8 @@ Every bundled analysis also implements the segment/merge protocol
 (``supports_segments``), so all of them run under sharded parallel
 replay (:mod:`repro.trace.parallel`) with results bit-identical to a
 serial pass; the cross-segment bookkeeping lives in
-:mod:`repro.analyses.merging`.
+:mod:`repro.analyses.merging`, and for ``locality`` in the reuse-distance
+kernel, :mod:`repro.analyses.reuse`.
 """
 
 from __future__ import annotations
@@ -21,10 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.analyses.base import (Analysis, AnalysisContext,
                                  AnalysisError, AnalysisResult,
                                  AnalysisSegment, OptionSpec,
                                  SegmentSeed, register)
+from repro.analyses.reuse import (CHUNK_ACCESSES, ReuseState,
+                                  as_addresses, chunk_state, fold)
 from repro.analysis.constructs import ConstructTable
 from repro.baselines.context_profiler import (ContextProfile,
                                               ContextSensitiveTracer)
@@ -355,6 +360,15 @@ class LocalityResult:
         return hits / reuses
 
 
+def _locality_stats(state: ReuseState) -> LocalityResult:
+    return LocalityResult(
+        accesses=state.accesses,
+        distinct_addresses=state.keys.size,
+        cold_misses=state.order.size,
+        histogram=state.histogram(),
+    )
+
+
 def _locality_result(stats: LocalityResult) -> AnalysisResult:
     """Shared rendering for serial finish and the parallel merge."""
     lines = [
@@ -391,8 +405,14 @@ class LocalityAnalysis(Analysis):
     For every memory access, the reuse distance is the number of
     *distinct* addresses touched since the previous access to the same
     address — i.e. the minimal LRU cache size (in words) that would hit.
-    Computed exactly with a Fenwick tree over access sequence numbers
-    (O(log n) per access). Distances are bucketed by powers of two.
+    Distances are bucketed by powers of two.
+
+    Accesses from the per-event hooks and from decoded blocks go into
+    one pending buffer; every :data:`~repro.analyses.reuse.CHUNK_ACCESSES`
+    accesses, and at ``finish`` / ``export_segment``, the numpy kernel
+    in :mod:`repro.analyses.reuse` folds the buffer into the running
+    state, exactly and at O(log n) array work per access. The same fold
+    merges the segments of a sharded replay.
 
     Addresses are physical interpreter words; stack reuse across frames
     therefore counts as reuse of the same word, which is exactly the
@@ -406,112 +426,72 @@ class LocalityAnalysis(Analysis):
     batch_kind = "block"
 
     def __init__(self) -> None:
-        self._seq = 0
-        self._last: dict[int, int] = {}
-        self._tree: list[int] = [0]
-        self._live = 0
-        #: Per first access of an address: how many distinct addresses
-        #: came before it — in access order. Free to maintain (cold
-        #: path only) and exactly what the cross-segment reuse-distance
-        #: merge needs (``repro.analyses.merging.fold_locality``).
-        self._cold_order: list[tuple[int, int]] = []
-        self.stats = LocalityResult()
+        self._state = ReuseState()
+        #: Accesses not yet folded: whole arrays, then the scalar
+        #: hooks' addresses (in stream order).
+        self._arrays: list = []
+        self._queued = 0
+        self._pending: list[int] = []
 
-    def _access(self, addr: int, pc: int = 0, timestamp: int = 0) -> None:
-        stats = self.stats
-        stats.accesses += 1
-        seq = self._seq + 1
-        self._seq = seq
-        tree = self._tree
-        # Fenwick append: node ``seq`` covers ``(seq - lowbit, seq]``, so
-        # its initial value is the live count over that range (the new
-        # position itself contributes 1 — it is now `addr`'s last
-        # access).
-        before = self._prefix(seq - 1)
-        tree.append(1 + before - self._prefix(seq - (seq & -seq)))
-        last = self._last.get(addr)
-        self._last[addr] = seq
-        self._live += 1
-        if last is None:
-            stats.cold_misses += 1
-            self._cold_order.append((addr, len(self._last) - 1))
-            return
-        # distance = live addresses whose last access falls strictly
-        # between `last` and `seq` = prefix(seq - 1) - prefix(last).
-        distance = before - self._prefix(last)
-        bucket = distance.bit_length()  # 0 -> 0, [2^(k-1), 2^k) -> k
-        stats.histogram[bucket] = stats.histogram.get(bucket, 0) + 1
-        # The superseded position stops representing a live address.
-        i = last
-        size = seq
-        while i <= size:
-            tree[i] -= 1
-            i += i & (-i)
-        self._live -= 1
+    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
+        pending = self._pending
+        pending.append(addr)
+        if len(pending) >= CHUNK_ACCESSES:
+            self._flush()
 
     # Both reads and writes are accesses (pc/timestamp unused).
-    on_read = _access
-    on_write = _access
+    on_write = on_read
 
     def consume_batch(self, batch) -> None:
         """Block fast path: only the access addresses matter (reuse
         distance ignores pc/timestamp and every other event type)."""
-        access = self._access
-        for addr in batch.access_addrs():
-            access(addr)
+        if self._pending:
+            self._park_pending()
+        addrs = batch.access_addrs()
+        self._arrays.append(addrs)
+        self._queued += addrs.size
+        if self._queued >= CHUNK_ACCESSES:
+            self._flush()
 
-    def _prefix(self, i: int) -> int:
-        tree = self._tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
+    def _park_pending(self) -> None:
+        self._arrays.append(as_addresses(self._pending))
+        self._pending = []
+
+    def _flush(self) -> ReuseState:
+        if self._pending:
+            self._park_pending()
+        if self._arrays:
+            addrs = np.concatenate(self._arrays)
+            self._arrays = []
+            self._queued = 0
+            self._state = fold(self._state, chunk_state(addrs))
+        return self._state
+
+    @property
+    def stats(self) -> LocalityResult:
+        """The reuse-distance summary of every access so far."""
+        return _locality_stats(self._flush())
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
-        stats = self.stats
-        stats.distinct_addresses = len(self._last)
-        return _locality_result(stats)
+        return _locality_result(self.stats)
 
     # -- segment/merge protocol -------------------------------------------
     # begin_segment: the default (cold start) is exactly right — every
-    # intra-segment distance is already exact, and cross-segment reuses
-    # are reconstructed by the fold from the exports below.
+    # intra-segment distance is already exact, and the fold below
+    # computes the cross-segment ones.
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        return AnalysisSegment(type(self), {
-            "accesses": self._seq,
-            "hist": dict(self.stats.histogram),
-            "order": self._cold_order,
-            "last": dict(self._last),
-        })
+        return AnalysisSegment(type(self), self._flush())
 
     @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        from repro.analyses.merging import LivePositions, fold_locality
-
-        if "live" not in acc:
-            folded = {"accesses": 0, "offset": 0, "cold": 0, "hist": {},
-                      "last": {}, "live": LivePositions()}
-            fold_locality(folded, acc)
-            acc = folded
-        fold_locality(acc, part)
-        return acc
+    def merge_segment_states(cls, acc: ReuseState,
+                             part: ReuseState) -> ReuseState:
+        return fold(acc, part)
 
     @classmethod
-    def finalize_segments(cls, state: dict,
+    def finalize_segments(cls, state: ReuseState,
                           ctx: AnalysisContext) -> AnalysisResult:
-        if "live" not in state:
-            state = cls.merge_segment_states(
-                state, {"accesses": 0, "hist": {}, "order": [],
-                        "last": {}})
-        stats = LocalityResult(
-            accesses=state["accesses"],
-            distinct_addresses=len(state["last"]),
-            cold_misses=state["cold"],
-            histogram=dict(state["hist"]),
-        )
-        return _locality_result(stats)
+        return _locality_result(_locality_stats(state))
 
 
 @dataclass

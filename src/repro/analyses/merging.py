@@ -30,20 +30,12 @@ unambiguous: the clock advances once per instruction, so
   the one with the smallest tail timestamp — no two observations of
   the same edge share one.
 
-The locality merge is different in kind: reuse distances need no
-frontier, but a cross-segment reuse's distance spans the seam. Each
-segment exports, per first-in-segment access, how many distinct
-addresses preceded it locally; the fold counts the live last-access
-positions between the global previous access and the seam with a
-Fenwick tree, subtracting addresses whose live position already moved
-into the new segment. Intra-segment distances are exact as computed
-(every intervening access lies inside the segment), so the merged
-histogram is exact, not approximate.
+The locality merge needs no frontier and does not live here: it is the
+same fold :mod:`repro.analyses.reuse` applies to every chunk of a
+serial replay.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from repro.analyses.base import AnalysisError
 
@@ -263,131 +255,6 @@ def update_context_frontier(frontier: dict, part_frontier: dict) -> None:
                 frontier[addr] = [None, dict(reads)]
             else:
                 entry[1].update(reads)
-
-
-# ---------------------------------------------------------------------------
-# Exact cross-segment reuse distances (locality analysis)
-# ---------------------------------------------------------------------------
-
-class LivePositions:
-    """Live last-access positions over the merged prefix.
-
-    Positions are appended in strictly increasing order (each segment's
-    accesses come after all earlier ones), so the backing array stays
-    sorted and a Fenwick tree over it answers "how many *live*
-    positions exceed q" in O(log n); superseding an address's last
-    access kills its old position.
-    """
-
-    __slots__ = ("positions", "tree", "live")
-
-    def __init__(self) -> None:
-        self.positions: list[int] = []
-        self.tree: list[int] = [0]
-        self.live = 0
-
-    def _prefix(self, i: int) -> int:
-        tree = self.tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-    def append(self, pos: int) -> int:
-        """Add a live position (> all existing); returns its slot."""
-        index = len(self.positions) + 1
-        self.positions.append(pos)
-        # Fenwick append: node `index` covers (index - lowbit, index].
-        before = self._prefix(index - 1)
-        self.tree.append(1 + before
-                         - self._prefix(index - (index & -index)))
-        self.live += 1
-        return index
-
-    def kill(self, index: int) -> None:
-        tree = self.tree
-        size = len(self.positions)
-        while index <= size:
-            tree[index] -= 1
-            index += index & (-index)
-        self.live -= 1
-
-    def count_after(self, pos: int) -> int:
-        """Live positions strictly greater than ``pos``."""
-        return self.live - self._prefix(bisect_right(self.positions, pos))
-
-
-def fold_locality(acc: dict, part: dict) -> None:
-    """Fold one segment's locality export into the accumulator.
-
-    ``part``: ``accesses``, intra-segment ``hist``, ``order`` — per
-    segment-first access of an address, ``(addr, distinct addresses
-    seen earlier in the segment)`` in stream order — and ``last``
-    (addr -> local last position). For each cross-segment reuse the
-    distance is::
-
-        pre_distinct                       (live positions inside the
-                                            segment, before this access)
-      + live prefix positions > q          (last accesses between the
-                                            previous access and the seam)
-      - already-swept addrs with old > q   (their live position moved
-                                            into the segment: counted by
-                                            pre_distinct already)
-
-    which equals the serial Fenwick count of live positions strictly
-    between the previous access ``q`` and this one.
-    """
-    last = acc["last"]
-    live: LivePositions = acc["live"]
-    hist = acc["hist"]
-    offset = acc["offset"]
-
-    order = part["order"]
-    # Correction sweep: for each cross access, count the already-swept
-    # addresses whose old global position exceeds its q — a Fenwick
-    # over the per-segment ranks of the q values (known up front).
-    cross = [(addr, pre_d, last[addr][0])
-             for addr, pre_d in order if addr in last]
-    qs = sorted({q for _a, _p, q in cross})
-    rank = {q: i + 1 for i, q in enumerate(qs)}
-    rank_tree = [0] * (len(qs) + 1)
-
-    def rank_prefix(i: int) -> int:
-        total = 0
-        while i > 0:
-            total += rank_tree[i]
-            i -= i & (-i)
-        return total
-
-    def rank_add(i: int) -> None:
-        while i <= len(qs):
-            rank_tree[i] += 1
-            i += i & (-i)
-
-    inserted = 0
-    for addr, pre_d, q in cross:
-        distance = pre_d + live.count_after(q) \
-            - (inserted - rank_prefix(rank[q]))
-        bucket = distance.bit_length()
-        hist[bucket] = hist.get(bucket, 0) + 1
-        rank_add(rank[q])
-        inserted += 1
-    acc["cold"] += len(order) - len(cross)
-
-    for bucket, count in part["hist"].items():
-        hist[bucket] = hist.get(bucket, 0) + count
-    # Sorted by position: LivePositions is append-only increasing, and
-    # the export dict is keyed in first-access order, not last-access.
-    for addr, local_pos in sorted(part["last"].items(),
-                                  key=lambda item: item[1]):
-        global_pos = offset + local_pos
-        old = last.get(addr)
-        if old is not None:
-            live.kill(old[1])
-        last[addr] = (global_pos, live.append(global_pos))
-    acc["offset"] = offset + part["accesses"]
-    acc["accesses"] += part["accesses"]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from array import array
 
+from repro.analyses.reuse import as_addresses
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE)
@@ -211,12 +212,6 @@ class EventBatch:
             counts[et] += 1
         return counts
 
-    def addrs_for(self, etype: int) -> list[int]:
-        """The ``a`` operand of every event of type ``etype``."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            return self.a[self.etypes == etype].tolist()
-        return [a for et, a in zip(self.etypes, self.a) if et == etype]
-
     def addr_counts(self, etype: int) -> list[tuple[int, int]]:
         """``(a, occurrences)`` pairs for events of type ``etype``."""
         if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
@@ -229,12 +224,13 @@ class EventBatch:
                 tally[a] = tally.get(a, 0) + 1
         return sorted(tally.items())
 
-    def access_addrs(self) -> list[int]:
-        """Addresses of every READ and WRITE, in event order."""
+    def access_addrs(self):
+        """Addresses of every READ and WRITE, in event order, as an
+        int64 array (``TraceError`` if one does not fit)."""
         if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            return self.a[_ACCESS_LUT[self.etypes]].tolist()
-        return [a for et, a in zip(self.etypes, self.a)
-                if et == EV_READ or et == EV_WRITE]
+            return self.a[_ACCESS_LUT[self.etypes]]
+        return as_addresses([a for et, a in zip(self.etypes, self.a)
+                             if et == EV_READ or et == EV_WRITE])
 
 
 def decode_block_columns(data: bytes, prev_a: list[int],

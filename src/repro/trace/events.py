@@ -90,6 +90,12 @@ EVENT_NAMES = {
 
 _U32_MAX = (1 << 32) - 1
 
+#: Largest inflated header or footer a reader accepts. Both are small
+#: JSON (the header carries the program source, the footer its printed
+#: output), but zlib inflates up to about 1000x, so an unbounded
+#: ``decompress`` of a crafted 1 MB footer would allocate 1 GB.
+MAX_METADATA_BYTES = 16 << 20
+
 
 class TraceError(Exception):
     """A malformed, unwritable, or out-of-range trace."""
@@ -101,6 +107,34 @@ class TraceVersionError(TraceError):
 
 class TraceTruncatedError(TraceError):
     """The trace ends mid-stream (crash or partial copy)."""
+
+
+def _inflate_metadata(blob: bytes, what: str) -> bytes:
+    """zlib-inflate a header or footer, refusing to pass the cap.
+
+    Inflates in 64 KB pieces, so a bomb costs at most the cap in
+    memory before it is refused."""
+    inflater = zlib.decompressobj()
+    pieces = []
+    size = 0
+    data = blob
+    while not inflater.eof:
+        try:
+            piece = inflater.decompress(data, 1 << 16)
+        except zlib.error as exc:
+            raise TraceError(f"corrupt trace {what}: {exc}") from exc
+        if not piece:
+            break
+        size += len(piece)
+        if size > MAX_METADATA_BYTES:
+            raise TraceError(f"corrupt trace {what}: inflates past "
+                             f"{MAX_METADATA_BYTES} bytes")
+        pieces.append(piece)
+        data = inflater.unconsumed_tail
+    if not inflater.eof:
+        raise TraceError(f"corrupt trace {what}: incomplete or "
+                         "truncated stream")
+    return b"".join(pieces)
 
 
 def source_digest(source: str) -> str:
@@ -132,9 +166,9 @@ class TraceHeader:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TraceHeader":
         try:
-            data = json.loads(zlib.decompress(blob))
+            data = json.loads(_inflate_metadata(blob, "header"))
             return cls(**data)
-        except (zlib.error, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise TraceError(f"corrupt trace header: {exc}") from exc
 
 
@@ -155,12 +189,12 @@ class TraceFooter:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TraceFooter":
         try:
-            data = json.loads(zlib.decompress(blob))
+            data = json.loads(_inflate_metadata(blob, "footer"))
             # Legacy record-time seam snapshots: read and ignored
             # (shard seams now come only from the scan).
             data.pop("checkpoints", None)
             return cls(**data)
-        except (zlib.error, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise TraceError(f"corrupt trace footer: {exc}") from exc
 
 

@@ -41,7 +41,11 @@ class TraceReader:
         self._handle: BinaryIO = open(self.path, "rb")
         #: Schema version of the file (always 2 once the header parsed).
         self.version: int = 0
-        self.header = self._read_header()
+        try:
+            self.header = self._read_header()
+        except BaseException:
+            self._handle.close()
+            raise
         self._events_start = self._handle.tell()
         #: Populated once ``events()`` has been fully consumed.
         self.footer: TraceFooter | None = None

@@ -124,7 +124,7 @@ int main() {
 
 class TestLocalityExactness:
     def test_matches_bruteforce_reuse_distance(self):
-        """Fenwick reuse distances == brute-force distinct counting."""
+        """Kernel reuse distances == brute-force distinct counting."""
         import random
 
         rng = random.Random(1234)
@@ -134,7 +134,7 @@ class TestLocalityExactness:
         expected_cold = 0
         last_index: dict[int, int] = {}
         for i, addr in enumerate(accesses):
-            consumer._access(addr)
+            consumer.on_read(addr, 0, i)
             if addr in last_index:
                 distance = len(set(accesses[last_index[addr] + 1:i]))
                 bucket = distance.bit_length()
@@ -147,8 +147,8 @@ class TestLocalityExactness:
 
     def test_hit_fraction_bounds(self):
         consumer = LocalityConsumer()
-        for addr in [1, 2, 1, 2, 1, 2]:
-            consumer._access(addr)
+        for i, addr in enumerate([1, 2, 1, 2, 1, 2]):
+            consumer.on_write(addr, 0, i)
         stats = consumer.stats
         stats.distinct_addresses = 2
         assert stats.hit_fraction(64) == 1.0
@@ -173,7 +173,6 @@ class TestConsumerSymmetry:
         if consumer_cls is CountingConsumer:
             assert live.counts == replayed
         else:
-            live.stats.distinct_addresses = len(live._last)
             assert live.stats == replayed
 
 

@@ -253,6 +253,47 @@ class TestCorruption:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_footer_inflation_bomb_is_bounded(self, both_traces,
+                                              tmp_path):
+        """A footer that inflates to 64 MB is rejected once it passes
+        the metadata cap, without inflating the rest."""
+        import tracemalloc
+
+        from repro.trace.events import (MAX_METADATA_BYTES, TRAILER,
+                                        pack_length)
+
+        _, (v2, _) = both_traces
+        blob = v2.read_bytes()
+        footer_len = int.from_bytes(
+            blob[-len(TRAILER) - 4:-len(TRAILER)], "little")
+        events_end = len(blob) - len(TRAILER) - 4 - footer_len
+        deflater = zlib.compressobj(9)
+        chunk = bytes(1 << 20)
+        bomb = b"".join(deflater.compress(chunk) for _ in range(64))
+        bomb += deflater.flush()
+        bad = tmp_path / "footer-bomb.trace"
+        bad.write_bytes(blob[:events_end] + bomb + pack_length(len(bomb))
+                        + TRAILER)
+        with TraceReader(bad) as reader:
+            tracemalloc.start()
+            try:
+                with pytest.raises(TraceError, match="inflates past"):
+                    reader.read_footer()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < MAX_METADATA_BYTES + (1 << 20)
+
+    def test_header_inflation_bomb_is_rejected(self, tmp_path):
+        from repro.trace.events import MAGIC, pack_length, pack_version
+
+        bomb = zlib.compress(bytes(32 << 20), 9)
+        bad = tmp_path / "header-bomb.trace"
+        bad.write_bytes(MAGIC + pack_version() + pack_length(len(bomb))
+                        + bomb)
+        with pytest.raises(TraceError, match="header: inflates past"):
+            TraceReader(bad)
+
     def test_trailing_bytes_after_stream_rejected(self, both_traces,
                                                   tmp_path):
         """Input left over after the compressed stream ends is not a
