@@ -46,28 +46,6 @@ def render(data: dict) -> str:
         f"{total['record_seconds']:10.3f} "
         f"{total['replay_seconds']:10.3f} "
         f"{total['speedup']:7.2f}x")
-    columnar = data.get("columnar")
-    if columnar:
-        lines.append("")
-        lines.append(
-            "Columnar batch decode vs scalar replay core "
-            "({} probe, scale {}):".format(
-                ",".join(columnar["analyses"]), columnar["scale"]))
-        lines.append(
-            f"{'workload':12s} {'scalar(s)':>10s} {'batch(s)':>9s} "
-            f"{'speedup':>8s} {'events':>9s} {'Mev/s':>7s}")
-        for row in columnar["rows"]:
-            mevps = (row["events"] / row["batch_seconds"] / 1e6
-                     if row["batch_seconds"] > 0 else float("nan"))
-            lines.append(
-                f"{row['name']:12s} {row['scalar_seconds']:10.3f} "
-                f"{row['batch_seconds']:9.3f} {row['speedup']:7.2f}x "
-                f"{row['events']:9d} {mevps:7.2f}")
-        ctotal = columnar["total"]
-        lines.append(
-            f"{'TOTAL':12s} {ctotal['scalar_seconds']:10.3f} "
-            f"{ctotal['batch_seconds']:9.3f} {ctotal['speedup']:7.2f}x "
-            f"{ctotal['events']:9d}")
     return "\n".join(lines)
 
 

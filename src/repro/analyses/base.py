@@ -275,7 +275,7 @@ class Analysis(Tracer):
     #: requirement.
     supports_segments: bool = False
     #: Optional replay fast path. With ``batch_kind`` left ``None`` the
-    #: engines dispatch scalar hooks per event — always correct, and
+    #: replay engine dispatches per-event hooks — always correct, and
     #: what live runs use regardless. Setting it (together with a
     #: ``consume_batch(batch)`` method taking a
     #: :class:`repro.trace.columnar.EventBatch`) opts into block-at-a-
@@ -284,20 +284,21 @@ class Analysis(Tracer):
     #: * ``"block"`` — ``consume_batch`` receives every decoded block
     #:   once and must handle *all* event types it cares about from the
     #:   columns (including structural ENTER/EXIT/ALLOC/FREE and
-    #:   FINISH); no scalar hooks fire for in-batch events. Only valid
-    #:   for analyses that never read shared replay state (the
+    #:   FINISH); no per-event hooks fire for in-batch events. Only
+    #:   valid for analyses that never read shared replay state (the
     #:   reconstructed ``Memory``) while consuming — counters and
     #:   histograms.
     #: * ``"span"`` — ``consume_batch`` receives maximal sub-batches
     #:   containing no memory-mutating events; ENTER/EXIT/ALLOC/FREE
-    #:   and FINISH still arrive through the scalar hooks, with the
-    #:   reconstructed memory synchronized exactly as in scalar
-    #:   replay. Right for analyses that resolve addresses or names
-    #:   against ``Memory`` mid-stream (the dependence profilers).
+    #:   and FINISH still arrive through the per-event hooks, with the
+    #:   reconstructed memory synchronized to each of them. Right for
+    #:   analyses that resolve addresses or names against ``Memory``
+    #:   mid-stream (the dependence profilers).
     #:
     #: Either way ``consume_batch`` must be observationally equivalent
-    #: to the scalar hooks — the engines are free to pick the path, and
-    #: the batch-vs-scalar parity suite asserts results match.
+    #: to the per-event hooks: live runs use the hooks, replay uses the
+    #: batches, and the live-vs-replay parity suites assert results
+    #: match.
     batch_kind: str | None = None
     #: Overridden (as a method) by analyses that set ``batch_kind``.
     consume_batch = None

@@ -755,7 +755,7 @@ class FlatDependenceAnalysis(Analysis):
 
     def consume_batch(self, batch) -> None:
         """Span fast path: flat attribution only watches the memory
-        stream (structural events arrive via the scalar hooks)."""
+        stream (structural events arrive via the per-event hooks)."""
         on_read = self.on_read
         on_write = self.on_write
         for etype, a, b, t in batch.rows():

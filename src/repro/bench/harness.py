@@ -380,116 +380,6 @@ def trace_bench(names: list[str] | None = None, scale: float = 0.5,
             "replay_seconds": rep,
             "speedup": live / (rec + rep) if rec + rep > 0 else float("nan"),
         },
-        "columnar": trace_decode_bench(names, scale=max(scale, 1.0),
-                                       repeats=max(repeats, 3),
-                                       out_path=None),
-    }
-    if out_path:
-        atomic_write_json(out_path, data)
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Columnar batch decode — replay-core speedup (folded into BENCH_trace.json)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DecodeBenchRow:
-    """One workload's serial replay core, scalar vs columnar decode.
-
-    Both sides replay the same pre-recorded v2 trace through the same
-    consumer with the program pre-compiled, so the only difference is
-    the decode + dispatch machinery: per-event generator dispatch
-    (``columnar=False``) against whole-block columnar batches
-    (``columnar=True``).
-    """
-
-    name: str
-    analyses: tuple[str, ...]
-    events: int
-    scalar_seconds: float
-    batch_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        if self.batch_seconds <= 0:
-            return float("nan")
-        return self.scalar_seconds / self.batch_seconds
-
-    @property
-    def batch_events_per_sec(self) -> float:
-        if self.batch_seconds <= 0:
-            return float("nan")
-        return self.events / self.batch_seconds
-
-
-def trace_decode_bench_rows(names: list[str] | None = None,
-                            scale: float = 1.0,
-                            analyses: tuple[str, ...] = ("counts",),
-                            repeats: int = 3) -> list[DecodeBenchRow]:
-    """Time serial v2 replay with the columnar path off, then on.
-
-    The trace is recorded once per workload and the program compiled
-    outside the timed region; each side keeps the minimum of
-    ``repeats`` runs. ``counts`` is the default probe because it is
-    the cheapest consumer — the measurement is then dominated by the
-    replay core itself rather than analysis bookkeeping.
-    """
-    import os
-    import tempfile
-
-    from repro.ir.lowering import compile_source
-    from repro.trace.replay import replay_trace
-    from repro.trace.writer import record_source
-    from repro.workloads import names as workload_names
-
-    rows = []
-    for name in (names if names is not None else workload_names()):
-        workload = get(name, scale)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, f"{name}.trace")
-            recorded = record_source(workload.source, path)
-            program = compile_source(workload.source)
-            # Warm both paths before timing either.
-            replay_trace(path, analyses, program, columnar=True)
-            replay_trace(path, analyses, program, columnar=False)
-            timings = {}
-            for label, columnar in (("scalar", False), ("batch", True)):
-                best = float("inf")
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    replay_trace(path, analyses, program, columnar=columnar)
-                    best = min(best, time.perf_counter() - start)
-                timings[label] = best
-        rows.append(DecodeBenchRow(
-            name=name, analyses=tuple(analyses), events=recorded.events,
-            scalar_seconds=timings["scalar"],
-            batch_seconds=timings["batch"]))
-    return rows
-
-
-def trace_decode_bench(names: list[str] | None = None, scale: float = 1.0,
-                       analyses: tuple[str, ...] = ("counts",),
-                       repeats: int = 3,
-                       out_path: str | None = None) -> dict:
-    """Batch-vs-scalar replay-core comparison (the columnar section of
-    BENCH_trace.json, or a standalone artifact when ``out_path`` is
-    given)."""
-    rows = trace_decode_bench_rows(names, scale, analyses, repeats)
-    scalar = sum(r.scalar_seconds for r in rows)
-    batch = sum(r.batch_seconds for r in rows)
-    data = {
-        "bench": "trace_columnar_vs_scalar",
-        "scale": scale,
-        "analyses": list(analyses),
-        "repeats": repeats,
-        "rows": [dict(asdict(r), speedup=r.speedup) for r in rows],
-        "total": {
-            "scalar_seconds": scalar,
-            "batch_seconds": batch,
-            "events": sum(r.events for r in rows),
-            "speedup": scalar / batch if batch > 0 else float("nan"),
-        },
     }
     if out_path:
         atomic_write_json(out_path, data)

@@ -646,7 +646,7 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_trace(args: argparse.Namespace) -> int:
-    from repro.bench.harness import trace_bench, trace_decode_bench
+    from repro.bench.harness import trace_bench
     from repro.workloads import names as workload_names
 
     known = workload_names()
@@ -656,55 +656,53 @@ def _cmd_bench_trace(args: argparse.Namespace) -> int:
     if unknown:
         raise CliError(f"unknown workload(s): {', '.join(unknown)} "
                        f"(known: {', '.join(known)})")
-    if args.columnar_only:
-        columnar = trace_decode_bench(names, scale=args.scale,
-                                      repeats=args.repeats,
-                                      out_path=args.out)
-    else:
-        data = trace_bench(names=names, scale=args.scale,
-                           repeats=args.repeats, out_path=args.out)
-        columnar = data["columnar"]
-    for row in columnar["rows"]:
-        print(f"{row['name']:12s} scalar {row['scalar_seconds']:.3f}s  "
-              f"batch {row['batch_seconds']:.3f}s  "
-              f"speedup {row['speedup']:.2f}x  "
-              f"({row['events']} events)")
-    total = columnar["total"]
-    print(f"\ncolumnar replay core: {total['speedup']:.2f}x over scalar "
-          f"decode on {len(columnar['rows'])} workload(s)")
+    data = trace_bench(names=names, scale=args.scale,
+                       repeats=args.repeats, out_path=args.out)
+    for row in data["rows"]:
+        print(f"{row['name']:12s} live {row['live_seconds']:.3f}s  "
+              f"record {row['record_seconds']:.3f}s  "
+              f"replay {row['replay_seconds']:.3f}s  "
+              f"speedup {row['speedup']:.2f}x  ({row['events']} events)")
+    print(f"\nrecord once + replay: {data['total']['speedup']:.2f}x over "
+          f"live reruns on {len(data['rows'])} workload(s)")
     print(f"written to {args.out}", file=sys.stderr)
     if not args.skip_parity:
         diverged = _trace_parity_check(names, min(args.scale, 0.5))
         if diverged:
-            print(f"error: batch replay diverged from scalar on: "
+            print(f"error: replay diverged from the live run on: "
                   f"{', '.join(diverged)}", file=sys.stderr)
             return 1
-        print(f"parity: batch == scalar for every registered analysis "
+        print(f"parity: replay == live for every registered analysis "
               f"on {len(names)} workload(s)")
     return 0
 
 
 def _trace_parity_check(names: list[str], scale: float) -> list[str]:
-    """Workloads where columnar replay disagrees with scalar replay
-    for any registered analysis (should always be empty)."""
+    """Workloads where replaying a recorded trace disagrees with a live
+    run for any registered analysis (should always be empty)."""
     import os
     import tempfile
 
-    from repro.analyses import analysis_names
+    from repro.analyses import analysis_names, get_analysis
+    from repro.api import Session
     from repro.trace.replay import replay_trace
     from repro.trace.writer import record_source
     from repro.workloads import get
 
-    every = analysis_names()
+    every = [name for name in analysis_names()
+             if not get_analysis(name).requires_live]
     diverged = []
     for name in names:
-        workload = get(name, scale)
+        source = get(name, scale).source
+        filename = f"{name}.mc"
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, f"{name}.trace")
-            record_source(workload.source, path)
-            scalar = replay_trace(path, every, columnar=False)
-            batch = replay_trace(path, every, columnar=True)
-        if any(batch.reports[a].to_dict() != scalar.reports[a].to_dict()
+            record_source(source, path, filename=filename)
+            replayed = replay_trace(path, every)
+        with Session() as session:
+            live = session.analyze(source, every, filename=filename,
+                                   mode="live")
+        if any(replayed.reports[a].to_dict() != live[a].to_dict()
                for a in every):
             diverged.append(name)
     return diverged
@@ -1033,19 +1031,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bt = sub.add_parser(
         "bench-trace",
-        help="replay-vs-rerun and columnar-vs-scalar replay bench "
-             "(writes BENCH_trace.json)")
+        help="replay-vs-rerun bench with a replay-vs-live result "
+             "parity gate (writes BENCH_trace.json)")
     p_bt.add_argument("--workloads", default="",
                       help="comma-separated workload names "
                            "(default: all Table III workloads)")
     p_bt.add_argument("--scale", type=float, default=0.5)
     p_bt.add_argument("--repeats", type=int, default=2,
                       help="timing repetitions (minimum kept)")
-    p_bt.add_argument("--columnar-only", action="store_true",
-                      help="skip the live-rerun baseline; bench only "
-                           "the batch-vs-scalar replay core")
     p_bt.add_argument("--skip-parity", action="store_true",
-                      help="skip the batch-vs-scalar result parity "
+                      help="skip the replay-vs-live result parity "
                            "check over all registered analyses")
     p_bt.add_argument("--out", default="BENCH_trace.json",
                       help="artifact path")

@@ -41,10 +41,7 @@ Typical use::
 from repro.trace.events import (TRACE_VERSION_V2, TraceError, TraceHeader,
                                 TraceTruncatedError, TraceVersionError)
 from repro.trace.reader import TraceReader
-from repro.trace.replay import (CONSUMERS, DependenceConsumer,
-                                HotAddressConsumer, LocalityConsumer,
-                                ReplayEngine, TraceConsumer, make_consumers,
-                                replay_trace, replay_with)
+from repro.trace.replay import ReplayEngine, replay_trace, replay_with
 from repro.trace.writer import TraceWriter, record_program, record_source
 
 __all__ = [
@@ -58,12 +55,6 @@ __all__ = [
     "record_program",
     "record_source",
     "ReplayEngine",
-    "TraceConsumer",
-    "DependenceConsumer",
-    "LocalityConsumer",
-    "HotAddressConsumer",
-    "CONSUMERS",
-    "make_consumers",
     "replay_trace",
     "replay_with",
 ]

@@ -41,8 +41,7 @@ import zlib
 from struct import Struct
 from typing import BinaryIO, Iterator
 
-from repro.trace.columnar import (HAVE_NUMPY, EventBatch,
-                                  decode_block_columns)
+from repro.trace.columnar import EventBatch, decode_block_columns
 from repro.trace.events import EV_FINISH, TraceError, TraceTruncatedError
 
 #: Block frame: compressed payload length, uncompressed length.
@@ -230,11 +229,83 @@ def read_block(handle: BinaryIO, path: str) -> tuple[bytes, int]:
     return data, comp_len
 
 
-class V2Decoder:
-    """Streams block-framed varint records until FINISH.
+def decode_records(data: bytes, prev_a: list[int], prev_b: list[int],
+                   time: int, path: str
+                   ) -> tuple[list[Event], Exception | None]:
+    """Reference per-record decode of one inflated block.
 
-    Tracks :attr:`blocks`, :attr:`compressed_bytes` and
-    :attr:`raw_bytes` for the ``info`` verb's size accounting.
+    Returns the events decoded before the block ended, FINISH was read
+    (the records after it are dead bytes) or a record failed, plus that
+    failure as a typed error (``None`` on success): callers surface the
+    prefix first and raise afterwards, so every decoder shows the same
+    prefix-then-raise order. ``prev_a``/``prev_b`` are updated in
+    place; ``time`` is the clock before the block's first record.
+    """
+    events: list[Event] = []
+    append = events.append
+    pos = 0
+    end = len(data)
+    try:
+        while pos < end:
+            etype = data[pos]
+            # Inline uvarint fast path: single-byte fields dominate
+            # (the encoder's fast path is their twin). IndexError from
+            # a record cut by block truncation is mapped below.
+            za = data[pos + 1]
+            if za < 0x80:
+                pos += 2
+            else:
+                za, pos = read_uvarint(data, pos + 1)
+            a = prev_a[etype] + (za >> 1 if not za & 1 else -(za >> 1) - 1)
+            prev_a[etype] = a
+            zb = data[pos]
+            if zb < 0x80:
+                pos += 1
+            else:
+                zb, pos = read_uvarint(data, pos)
+            b = prev_b[etype] + (zb >> 1 if not zb & 1 else -(zb >> 1) - 1)
+            prev_b[etype] = b
+            delta = data[pos]
+            if delta < 0x80:
+                pos += 1
+            else:
+                delta, pos = read_uvarint(data, pos)
+            time += delta
+            append((etype, a, b, time))
+            if etype == EV_FINISH:
+                break
+    except IndexError:
+        return events, TraceTruncatedError(f"{path}: block ends mid-record")
+    except TraceError as exc:  # truncated or overlong varint
+        return events, exc
+    return events, None
+
+
+def _seed_state(state: dict | None) -> tuple[int, list[int], list[int]]:
+    """Clock and per-type delta lists from a resume ``state``.
+
+    The lists stay plain ints: the vector kernel reads and writes them
+    in place, the scalar loop shares them, and ``block_hook`` consumers
+    JSON-serialize them.
+    """
+    prev_a = [0] * 256
+    prev_b = [0] * 256
+    if not state:
+        return 0, prev_a, prev_b
+    for etype, (a, b) in dict(state.get("prev", {})).items():
+        prev_a[int(etype)] = a
+        prev_b[int(etype)] = b
+    return state.get("time", 0), prev_a, prev_b
+
+
+class V2Decoder:
+    """Streams block-framed varint records until FINISH, one event at
+    a time through :func:`decode_records`.
+
+    The scalar reference: replay runs :class:`V2BatchDecoder`, and the
+    equivalence suite drains both and demands identical output. Tracks
+    :attr:`records`, :attr:`blocks`, :attr:`compressed_bytes` and
+    :attr:`raw_bytes`.
 
     ``state`` seeds the per-type deltas and the clock so decoding can
     start at a mid-file block boundary (parallel segment replay).
@@ -254,82 +325,50 @@ class V2Decoder:
         self.compressed_bytes = 0
         self.raw_bytes = 0
         self.block_hook = block_hook
-        self._time0 = state.get("time", 0) if state else 0
-        self._prev0 = dict(state.get("prev", {})) if state else {}
+        self._time, self._prev_a, self._prev_b = _seed_state(state)
+        self._finished = False
+
+    def _read(self) -> bytes:
+        """Report the boundary to ``block_hook``, then read one block."""
+        if self.block_hook is not None:
+            self.block_hook(self._handle.tell(), self.records, self._time,
+                            self._prev_a, self._prev_b)
+        data, comp_len = read_block(self._handle, self.path)
+        self.blocks += 1
+        self.compressed_bytes += comp_len
+        self.raw_bytes += len(data)
+        return data
+
+    def _decode_scalar(self, data: bytes
+                       ) -> tuple[list[Event], Exception | None]:
+        events, error = decode_records(data, self._prev_a, self._prev_b,
+                                       self._time, self.path)
+        if events:
+            self.records += len(events)
+            self._time = events[-1][3]
+            self._finished = events[-1][0] == EV_FINISH
+        return events, error
 
     def events(self) -> Iterator[Event]:
-        handle = self._handle
-        prev_a = [0] * 256
-        prev_b = [0] * 256
-        for etype, (a, b) in self._prev0.items():
-            prev_a[int(etype)] = a
-            prev_b[int(etype)] = b
-        time = self._time0
-        while True:
-            if self.block_hook is not None:
-                self.block_hook(handle.tell(), self.records, time,
-                                prev_a, prev_b)
-            data, comp_len = read_block(handle, self.path)
-            self.blocks += 1
-            self.compressed_bytes += comp_len
-            self.raw_bytes += len(data)
-            pos = 0
-            end = len(data)
-            records = self.records
-            try:
-                while pos < end:
-                    etype = data[pos]
-                    # Inline uvarint fast path: single-byte fields
-                    # dominate (the encoder's fast path is their twin).
-                    # IndexError from a record cut by block truncation
-                    # is mapped to TraceTruncatedError below.
-                    za = data[pos + 1]
-                    if za < 0x80:
-                        pos += 2
-                    else:
-                        za, pos = read_uvarint(data, pos + 1)
-                    a = prev_a[etype] + (za >> 1 if not za & 1
-                                         else -(za >> 1) - 1)
-                    prev_a[etype] = a
-                    zb = data[pos]
-                    if zb < 0x80:
-                        pos += 1
-                    else:
-                        zb, pos = read_uvarint(data, pos)
-                    b = prev_b[etype] + (zb >> 1 if not zb & 1
-                                         else -(zb >> 1) - 1)
-                    prev_b[etype] = b
-                    delta = data[pos]
-                    if delta < 0x80:
-                        pos += 1
-                    else:
-                        delta, pos = read_uvarint(data, pos)
-                    time += delta
-                    records += 1
-                    yield (etype, a, b, time)
-                    if etype == EV_FINISH:
-                        self.records = records
-                        return
-            except IndexError:
-                raise TraceTruncatedError(
-                    f"{self.path}: block ends mid-record") from None
-            finally:
-                self.records = records
+        while not self._finished:
+            events, error = self._decode_scalar(self._read())
+            yield from events
+            if error is not None:
+                raise error
 
 
-class V2BatchDecoder:
+class V2BatchDecoder(V2Decoder):
     """Columnar twin of :class:`V2Decoder`: one ``EventBatch`` per block.
 
-    Same constructor surface and stats (:attr:`records`,
-    :attr:`blocks`, :attr:`compressed_bytes`, :attr:`raw_bytes`), same
-    ``state`` resume semantics, same ``block_hook`` contract — and, by
-    construction, the same events and the same typed errors:
-    :meth:`events` is pinned against ``V2Decoder.events()`` by the
-    property-based equivalence suite. Blocks the vectorized kernel
-    cannot prove well-formed (corruption, truncation, varints past the
-    legitimate 5-byte maximum) are re-decoded by an exact scalar copy
-    of the reference loop, which then stays in charge for the rest of
-    the stream — a corrupt trace costs speed, never fidelity.
+    Same constructor surface and stats, same ``state`` resume
+    semantics, same ``block_hook`` contract — and, by construction, the
+    same events and the same typed errors: :meth:`events` is pinned
+    against ``V2Decoder.events()`` by the property-based equivalence
+    suite. Blocks the vectorized kernel cannot prove well-formed
+    (corruption, truncation, varints past the legitimate 5-byte
+    maximum) are re-decoded by :func:`decode_records`, which then stays
+    in charge for the rest of the stream — a corrupt trace costs speed,
+    never fidelity.
 
     :attr:`blocks_vectorized` / :attr:`blocks_fallback` feed the
     replay engine's decode telemetry counters.
@@ -338,58 +377,32 @@ class V2BatchDecoder:
     def __init__(self, handle: BinaryIO, path: str,
                  state: dict | None = None,
                  block_hook=None) -> None:
-        self._handle = handle
-        self.path = path
-        self.records = 0
-        self.blocks = 0
-        self.compressed_bytes = 0
-        self.raw_bytes = 0
+        super().__init__(handle, path, state, block_hook)
         self.blocks_vectorized = 0
         self.blocks_fallback = 0
-        self.block_hook = block_hook
-        self._time = state.get("time", 0) if state else 0
-        # Kept as plain-int lists: the vector kernel reads/writes them
-        # in place, the scalar fallback shares them, and block_hook
-        # consumers JSON-serialize them (numpy ints would not round-trip).
-        self._prev_a = [0] * 256
-        self._prev_b = [0] * 256
-        if state:
-            for etype, (a, b) in dict(state.get("prev", {})).items():
-                self._prev_a[int(etype)] = a
-                self._prev_b[int(etype)] = b
-        self._finished = False
-        self._scalar_only = not HAVE_NUMPY
+        self._scalar_only = False
 
     def batches(self) -> Iterator[EventBatch]:
         """Yield one :class:`EventBatch` per block until FINISH."""
-        handle = self._handle
         while not self._finished:
-            if self.block_hook is not None:
-                self.block_hook(handle.tell(), self.records, self._time,
-                                self._prev_a, self._prev_b)
-            data, comp_len = read_block(handle, self.path)
-            self.blocks += 1
-            self.compressed_bytes += comp_len
-            self.raw_bytes += len(data)
+            data = self._read()
             if not data:
                 continue
-            batch = None
             if not self._scalar_only:
                 batch = self._decode_vector(data)
-            if batch is not None:
-                self.blocks_vectorized += 1
-                self.records += len(batch)
-                yield batch
-                continue
+                if batch is not None:
+                    self.blocks_vectorized += 1
+                    self.records += len(batch)
+                    yield batch
+                    continue
             # Exact scalar re-decode; corruption rarely stops at one
             # block, so stay scalar for the rest of the stream (the
             # delta state may now hold values the kernel cannot carry).
             self._scalar_only = True
             self.blocks_fallback += 1
-            batch, error = self._decode_scalar(data)
-            if batch is not None:
-                self.records += len(batch)
-                yield batch
+            events, error = self._decode_scalar(data)
+            if events:
+                yield EventBatch.from_lists(*map(list, zip(*events)))
             if error is not None:
                 raise error
 
@@ -407,74 +420,6 @@ class V2BatchDecoder:
         self._finished = finished
         self._time = int(t[-1])
         return EventBatch(etypes, a, b, t)
-
-    def _decode_scalar(self, data: bytes
-                       ) -> tuple[EventBatch | None, Exception | None]:
-        """Reference per-record decode of one block into columns.
-
-        Mirrors ``V2Decoder.events()`` exactly — including which
-        events precede an error: the partial batch is returned first
-        and the error raised after it is consumed, so downstream sees
-        the same prefix-then-raise order as the scalar generator.
-        """
-        prev_a = self._prev_a
-        prev_b = self._prev_b
-        time = self._time
-        etypes: list[int] = []
-        col_a: list[int] = []
-        col_b: list[int] = []
-        col_t: list[int] = []
-        pos = 0
-        end = len(data)
-        error: Exception | None = None
-        try:
-            while pos < end:
-                etype = data[pos]
-                za = data[pos + 1]
-                if za < 0x80:
-                    pos += 2
-                else:
-                    za, pos = read_uvarint(data, pos + 1)
-                a = prev_a[etype] + (za >> 1 if not za & 1
-                                     else -(za >> 1) - 1)
-                prev_a[etype] = a
-                zb = data[pos]
-                if zb < 0x80:
-                    pos += 1
-                else:
-                    zb, pos = read_uvarint(data, pos)
-                b = prev_b[etype] + (zb >> 1 if not zb & 1
-                                     else -(zb >> 1) - 1)
-                prev_b[etype] = b
-                delta = data[pos]
-                if delta < 0x80:
-                    pos += 1
-                else:
-                    delta, pos = read_uvarint(data, pos)
-                time += delta
-                etypes.append(etype)
-                col_a.append(a)
-                col_b.append(b)
-                col_t.append(time)
-                if etype == EV_FINISH:
-                    self._finished = True
-                    break
-        except IndexError:
-            error = TraceTruncatedError(
-                f"{self.path}: block ends mid-record")
-        except TraceError as exc:  # truncated or overlong varint
-            error = exc
-        self._time = time
-        if not etypes:
-            return None, error
-        return EventBatch.from_lists(etypes, col_a, col_b, col_t), error
-
-
-def make_decoder(handle: BinaryIO, path: str, state: dict | None = None,
-                 block_hook=None, columnar: bool = False):
-    if columnar:
-        return V2BatchDecoder(handle, path, state, block_hook)
-    return V2Decoder(handle, path, state, block_hook)
 
 
 def encode_events(events: list[Event],

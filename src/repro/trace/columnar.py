@@ -1,45 +1,32 @@
 """Columnar event batches: whole trace blocks as typed arrays.
 
-The scalar v2 decoder reconstructs one event tuple at a time — a pure
-Python loop whose per-event cost dwarfs the zlib and varint work it
-wraps. This module holds the columnar alternative the batch replay
-path is built on: each decoded block becomes one :class:`EventBatch`
-of four parallel typed columns (``etypes``/``a``/``b``/``t``), and the
-delta/zigzag reconstruction runs once per *column* instead of once per
-event. With numpy present the per-block kernel
-(:func:`decode_block_columns`) vectorizes the whole pipeline —
-varint boundary discovery, value assembly, zigzag, per-type delta
-cumsums — in a handful of array ops; without numpy batches are still
-produced (``array('q')`` columns filled by the exact scalar loop) so
-the ``consume_batch`` plugin surface works everywhere, it just stops
-being faster.
+The replay engine consumes decoded blocks, not single events: each
+block becomes one :class:`EventBatch` of four parallel numpy columns
+(``etypes``/``a``/``b``/``t``), and the delta/zigzag reconstruction
+runs once per *column* instead of once per event. The per-block kernel
+(:func:`decode_block_columns`) vectorizes the whole pipeline — varint
+boundary discovery, value assembly, zigzag, per-type delta cumsums —
+in a handful of array ops.
 
 Correctness contract: the kernel only ever accepts a block it can
 *prove* well-formed — contiguous ``[etype][varint][varint][varint]``
 records covering every byte, with no varint beyond the 5 bytes a
 legitimate u32-bounded field can occupy (int64 arithmetic is then
 exact). Anything else returns ``None`` and the caller re-decodes the
-block with the scalar reference loop, which reproduces the scalar
-decoder's events and errors bit for bit — the property-based
+block with the scalar reference loop
+(:func:`repro.trace.codec.decode_records`), which reproduces the
+scalar decoder's events and errors bit for bit — the property-based
 equivalence suite pins exactly this.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
+import numpy as _np
 
 from repro.analyses.reuse import as_addresses
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE)
-
-try:  # numpy is an accelerator, never a requirement
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Event types the replay engines apply to reconstructed memory (frame
 #: pushes/pops, heap churn) plus FINISH: the seams at which a block is
@@ -66,45 +53,31 @@ VECTOR_MAX_VARINT_BYTES = 5
 #: scalar path instead.
 _SAFE_PREV = 1 << 55
 
-if HAVE_NUMPY:
-    _STRUCT_LUT = _np.zeros(256, dtype=bool)
-    for _et in STRUCTURAL_EVENTS:
-        _STRUCT_LUT[_et] = True
-    _KNOWN_LUT = _np.zeros(256, dtype=bool)
-    for _et in KNOWN_EVENTS:
-        _KNOWN_LUT[_et] = True
-    _ACCESS_LUT = _np.zeros(256, dtype=bool)
-    _ACCESS_LUT[EV_READ] = _ACCESS_LUT[EV_WRITE] = True
+_STRUCT_LUT = _np.zeros(256, dtype=bool)
+_STRUCT_LUT[list(STRUCTURAL_EVENTS)] = True
+_KNOWN_LUT = _np.zeros(256, dtype=bool)
+_KNOWN_LUT[list(KNOWN_EVENTS)] = True
+_ACCESS_LUT = _np.zeros(256, dtype=bool)
+_ACCESS_LUT[[EV_READ, EV_WRITE]] = True
 
 
-def columnar_enabled(override: bool | None = None) -> bool:
-    """Should readers/engines prefer the columnar batch path?
-
-    ``override`` (an explicit caller choice) wins; then the
-    ``ALCHEMIST_COLUMNAR`` environment variable (``0``/``off`` forces
-    the scalar path everywhere — the parity escape hatch — while
-    ``1``/``on`` forces batches even without numpy); the default is on
-    exactly when numpy is importable, because without it batches decode
-    through the same scalar loop they would replace.
-    """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get("ALCHEMIST_COLUMNAR", "").strip().lower()
-    if env in ("0", "no", "off", "false", "scalar"):
-        return False
-    if env in ("1", "yes", "on", "true", "force"):
-        return True
-    return HAVE_NUMPY
+def _column(values: list):
+    """An int64 column, or an object column for the values outside
+    int64 that only a corrupt-but-parseable block can carry (the scalar
+    decoder's 10-byte varint cap admits up to 70 value bits)."""
+    try:
+        return _np.asarray(values, dtype=_np.int64)
+    except OverflowError:
+        return _np.asarray(values, dtype=object)
 
 
 class EventBatch:
-    """One decoded block of events as four parallel typed columns.
+    """One decoded block of events as four parallel numpy columns.
 
-    Columns are numpy ``int64`` arrays on the vectorized path and
-    ``array('q')`` on the fallback path; either way :meth:`columns`
-    exposes plain-``int`` lists (cached) and :meth:`rows` iterates
-    ``(etype, a, b, t)`` tuples identical to the scalar decoder's
-    yield. Slices share storage where the backing type allows it.
+    Columns are ``int64`` (``object`` only for the out-of-range values
+    of a corrupt block); :meth:`columns` exposes plain-``int`` lists
+    (cached) and :meth:`rows` iterates ``(etype, a, b, t)`` tuples
+    identical to the scalar decoder's yield. Slices share storage.
     """
 
     __slots__ = ("etypes", "a", "b", "t", "_lists")
@@ -120,17 +93,8 @@ class EventBatch:
     def from_lists(cls, etypes: list, a: list, b: list, t: list
                    ) -> "EventBatch":
         """Wrap scalar-decoded columns (keeps the lists as the cache)."""
-        try:
-            return cls(array("q", etypes), array("q", a), array("q", b),
-                       array("q", t), _lists=(etypes, a, b, t))
-        except OverflowError:
-            # A corrupt-but-parseable block can carry varint values
-            # outside int64 (the scalar decoder's 10-byte cap admits up
-            # to 70 value bits, yielding Python bigints). Keep plain
-            # lists as the columns so the batch surface reproduces the
-            # scalar decoder's events bit for bit instead of raising.
-            return cls(list(etypes), list(a), list(b), list(t),
-                       _lists=(etypes, a, b, t))
+        lists = (etypes, a, b, t)
+        return cls(*map(_column, lists), _lists=lists)
 
     def __len__(self) -> int:
         return len(self.etypes)
@@ -144,16 +108,10 @@ class EventBatch:
 
     def columns(self) -> tuple[list, list, list, list]:
         """The four columns as plain-int lists (computed once)."""
-        lists = self._lists
-        if lists is None:
-            if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-                lists = (self.etypes.tolist(), self.a.tolist(),
-                         self.b.tolist(), self.t.tolist())
-            else:
-                lists = (list(self.etypes), list(self.a),
-                         list(self.b), list(self.t))
-            self._lists = lists
-        return lists
+        if self._lists is None:
+            self._lists = (self.etypes.tolist(), self.a.tolist(),
+                           self.b.tolist(), self.t.tolist())
+        return self._lists
 
     def rows(self):
         """Iterate ``(etype, a, b, t)`` tuples of plain ints."""
@@ -164,73 +122,41 @@ class EventBatch:
         """The four columns at ``indices`` only, as plain-int lists.
 
         Cheaper than :meth:`columns` when only a few rows are needed
-        (the engines gather just the structural seams of a block).
+        (the engine gathers just the structural seams of a block).
         """
-        if self._lists is not None:
-            et_l, a_l, b_l, t_l = self._lists
-            return ([et_l[i] for i in indices], [a_l[i] for i in indices],
-                    [b_l[i] for i in indices], [t_l[i] for i in indices])
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            idx = _np.asarray(indices, dtype=_np.intp)
-            return (self.etypes[idx].tolist(), self.a[idx].tolist(),
-                    self.b[idx].tolist(), self.t[idx].tolist())
-        return ([self.etypes[i] for i in indices],
-                [self.a[i] for i in indices],
-                [self.b[i] for i in indices],
-                [self.t[i] for i in indices])
+        idx = _np.asarray(indices, dtype=_np.intp)
+        return (self.etypes[idx].tolist(), self.a[idx].tolist(),
+                self.b[idx].tolist(), self.t[idx].tolist())
 
     # -- engine helpers ----------------------------------------------------
 
     def structural_indices(self) -> list[int]:
         """Row indices of memory-mutating events and FINISH, in order."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            return _np.flatnonzero(_STRUCT_LUT[self.etypes]).tolist()
-        structural = STRUCTURAL_EVENTS
-        return [i for i, et in enumerate(self.etypes) if et in structural]
+        return _np.flatnonzero(_STRUCT_LUT[self.etypes]).tolist()
 
     def first_unknown_etype(self) -> int | None:
         """The first event type outside the known set, or ``None``."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            known = _KNOWN_LUT[self.etypes]
-            if known.all():
-                return None
-            return int(self.etypes[int(_np.argmin(known))])
-        known = KNOWN_EVENTS
-        for et in self.etypes:
-            if et not in known:
-                return int(et)
-        return None
+        known = _KNOWN_LUT[self.etypes]
+        if known.all():
+            return None
+        return int(self.etypes[int(_np.argmin(known))])
 
     # -- analysis helpers (the consume_batch building blocks) -------------
 
     def etype_counts(self) -> list[int]:
         """Count per event type, indexable by the ``EV_*`` codes."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            return _np.bincount(self.etypes, minlength=256).tolist()
-        counts = [0] * 256
-        for et in self.etypes:
-            counts[et] += 1
-        return counts
+        return _np.bincount(self.etypes, minlength=256).tolist()
 
     def addr_counts(self, etype: int) -> list[tuple[int, int]]:
         """``(a, occurrences)`` pairs for events of type ``etype``."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            values, counts = _np.unique(self.a[self.etypes == etype],
-                                        return_counts=True)
-            return list(zip(values.tolist(), counts.tolist()))
-        tally: dict[int, int] = {}
-        for et, a in zip(self.etypes, self.a):
-            if et == etype:
-                tally[a] = tally.get(a, 0) + 1
-        return sorted(tally.items())
+        values, counts = _np.unique(self.a[self.etypes == etype],
+                                    return_counts=True)
+        return list(zip(values.tolist(), counts.tolist()))
 
     def access_addrs(self):
         """Addresses of every READ and WRITE, in event order, as an
         int64 array (``TraceError`` if one does not fit)."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
-            return self.a[_ACCESS_LUT[self.etypes]]
-        return as_addresses([a for et, a in zip(self.etypes, self.a)
-                             if et == EV_READ or et == EV_WRITE])
+        return as_addresses(self.a[_ACCESS_LUT[self.etypes]])
 
 
 def decode_block_columns(data: bytes, prev_a: list[int],
@@ -245,8 +171,6 @@ def decode_block_columns(data: bytes, prev_a: list[int],
     provably well-formed; the caller must then re-decode it with the
     scalar reference loop, which reproduces events and errors exactly.
     """
-    if _np is None:
-        return None
     arr = _np.frombuffer(data, dtype=_np.uint8)
     # Varint terminals and etype bytes are the bytes without the
     # continuation bit; a well-formed record contributes exactly four:

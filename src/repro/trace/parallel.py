@@ -38,11 +38,7 @@ from typing import Any, Iterable
 from repro.analyses import (AnalysisContext, AnalysisResult,
                             get_analysis, make_analyses, parse_spec)
 from repro.analyses.base import AnalysisSegment, SegmentSeed
-from repro.trace.columnar import columnar_enabled
-from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
-                                EV_CHECKPOINT, EV_ENTER, EV_EXIT,
-                                EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
-                                TraceError)
+from repro.trace.events import TraceError
 from repro.trace.reader import TraceReader
 from repro.trace.replay import dispatch_batches, replay_with
 from repro.trace.shards import (Checkpoint, ShardPlan, plan_shards,
@@ -154,20 +150,12 @@ def _replay_segment(job: dict, reader: TraceReader,
     replay_span = tm.span("segment.replay")
     replay_span.__enter__()
     try:
-        if columnar_enabled(job.get("columnar")):
-            # Columnar fast path: whole blocks decoded into typed
-            # columns, per-type delta state reseeded from the
-            # checkpoint; the scalar loop below stays the reference
-            # semantics (and the path for disabled runs).
-            final_time, consumed = dispatch_batches(
-                reader.batches_from(checkpoint.offset,
-                                    checkpoint.decoder_state()),
-                analyses, memory, functions, budget=budget,
-                segment=True)
-        else:
-            final_time, consumed = _replay_segment_scalar(
-                reader, checkpoint, budget, analyses, memory,
-                functions)
+        # The serial engine, fed from the seam: per-type delta state is
+        # reseeded from the checkpoint and the budget ends the slice.
+        final_time, consumed = dispatch_batches(
+            reader.batches_from(checkpoint.offset,
+                                checkpoint.decoder_state()),
+            analyses, memory, functions, budget=budget, segment=True)
     finally:
         replay_span.__exit__(None, None, None)
     replay_span.set(events=consumed)
@@ -185,84 +173,6 @@ def _replay_segment(job: dict, reader: TraceReader,
     memory_snapshot = (snapshot_memory(memory, header).to_payload()
                        if job["end_index"] is None else None)
     return consumed, exports, memory_snapshot
-
-
-def _replay_segment_scalar(reader: TraceReader, checkpoint: Checkpoint,
-                           budget: int | None, analyses: list,
-                           memory, functions) -> tuple[int, int]:
-    """Per-event segment replay (columnar disabled).
-    Returns ``(final_time, events_consumed)``."""
-    from repro.analyses import live_hooks
-
-    on_enter = live_hooks(analyses, "on_enter_function")
-    on_exit = live_hooks(analyses, "on_exit_function")
-    on_block = live_hooks(analyses, "on_block_enter")
-    on_branch = live_hooks(analyses, "on_branch")
-    on_read = live_hooks(analyses, "on_read")
-    on_write = live_hooks(analyses, "on_write")
-    on_alloc = live_hooks(analyses, "on_heap_alloc")
-    on_free = live_hooks(analyses, "on_frame_free")
-    on_finish = live_hooks(analyses, "on_finish")
-
-    push_frame = memory.push_frame
-    pop_frame = memory.pop_frame
-    heap_alloc = memory.heap_alloc
-    heap_free = memory.heap_free
-    heap_base = memory.heap_base
-
-    consumed = 0
-    final_time = 0
-    for etype, a, b, t in reader.events_from(
-            checkpoint.offset, checkpoint.decoder_state(),
-            columnar=False):
-        if etype == EV_READ:
-            for hook in on_read:
-                hook(a, b, t)
-        elif etype == EV_WRITE:
-            for hook in on_write:
-                hook(a, b, t)
-        elif etype == EV_BLOCK:
-            for hook in on_block:
-                hook(a, t)
-        elif etype == EV_BRANCH:
-            for hook in on_branch:
-                hook(a, b, t)
-        elif etype == EV_ENTER:
-            push_frame(functions[a])
-            name = functions[a].name
-            for hook in on_enter:
-                hook(name, b, t)
-        elif etype == EV_EXIT:
-            name = functions[a].name
-            for hook in on_exit:
-                hook(name, t)
-            pop_frame()
-        elif etype == EV_FREE:
-            if b and a >= heap_base:
-                heap_free(a)
-            hi = a + b
-            for hook in on_free:
-                hook(a, hi)
-        elif etype == EV_ALLOC:
-            base = heap_alloc(b)
-            if base != a:
-                raise TraceError(
-                    f"heap replay diverged in segment: alloc "
-                    f"returned {base}, trace recorded {a}")
-            for hook in on_alloc:
-                hook(a, b, t)
-        elif etype == EV_FINISH:
-            final_time = t
-            for hook in on_finish:
-                hook(t)
-        elif etype == EV_CHECKPOINT:
-            pass
-        else:
-            raise TraceError(f"unknown event type {etype}")
-        consumed += 1
-        if budget is not None and consumed >= budget:
-            break
-    return final_time, consumed
 
 
 @dataclass
@@ -300,8 +210,7 @@ def parallel_replay(path: str | os.PathLike,
                     options: dict | None = None,
                     interval: int | None = None,
                     plugin_modules: tuple[str, ...] = (),
-                    telemetry=None,
-                    columnar: bool | None = None) -> ParallelOutcome:
+                    telemetry=None) -> ParallelOutcome:
     """Replay ``path`` through the named analyses across ``jobs``
     workers; falls back to one serial pass when sharding cannot help
     (and says so in the outcome).
@@ -313,8 +222,6 @@ def parallel_replay(path: str | os.PathLike,
     process only knows the builtins). With an enabled ``telemetry``
     the coordinator opens a ``replay.parallel`` span and stitches each
     worker's ``segment`` span tree (and counters) under it.
-    ``columnar`` forces the batch/scalar decode path in every worker
-    (default: auto, see :func:`repro.trace.columnar.columnar_enabled`).
     """
     from repro.telemetry import as_telemetry
     from repro.trace.shards import DEFAULT_CHECKPOINT_INTERVAL
@@ -338,7 +245,7 @@ def parallel_replay(path: str | os.PathLike,
             return _serial_fallback(
                 path, names, options, plan, jobs, start,
                 "analysis without segment support: "
-                + ", ".join(unsupported), tm, columnar)
+                + ", ".join(unsupported), tm)
         with tm.span("replay.plan"):
             plan = plan_shards(path, jobs,
                                interval=(interval if interval
@@ -349,8 +256,7 @@ def parallel_replay(path: str | os.PathLike,
             return _serial_fallback(path, names, options, plan, jobs,
                                     start,
                                     "no usable shard seams"
-                                    if jobs > 1 else "jobs=1", tm,
-                                    columnar)
+                                    if jobs > 1 else "jobs=1", tm)
 
         coord.set(mode="parallel")
         pool_size = min(jobs, len(plan.segments))
@@ -363,7 +269,6 @@ def parallel_replay(path: str | os.PathLike,
             "options": options,
             "plugin_modules": plugin_modules,
             "telemetry": tm.enabled,
-            "columnar": columnar,
         } for segment in plan.segments]
         if pool_size == 1:
             results = [run_segment(job) for job in jobs_payload]
@@ -437,11 +342,9 @@ def parallel_replay(path: str | os.PathLike,
 
 def _serial_fallback(path: str, names: list[str], options: dict | None,
                      plan: ShardPlan, jobs: int, start: float,
-                     reason: str, telemetry=None,
-                     columnar: bool | None = None) -> ParallelOutcome:
+                     reason: str, telemetry=None) -> ParallelOutcome:
     instances = make_analyses(names, options)
-    outcome = replay_with(path, instances, telemetry=telemetry,
-                          columnar=columnar)
+    outcome = replay_with(path, instances, telemetry=telemetry)
     wall = _time.perf_counter() - start
     outcome.context.wall_seconds = wall
     return ParallelOutcome(

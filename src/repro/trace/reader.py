@@ -1,10 +1,12 @@
 """Lazy trace reading: stream events without loading the file.
 
-:class:`TraceReader` parses the header eagerly (it is small), sniffs
-the schema version from the envelope, and then yields events block by
-block, so a trace larger than memory replays in constant space. Each
-yielded event is a plain tuple ``(etype, a, b, timestamp)`` with the
-*absolute* timestamp already reconstructed from the stored deltas.
+:class:`TraceReader` parses the header eagerly (it is small), checks
+the schema version from the envelope, and then decodes the event
+stream one block at a time, so a trace larger than memory replays in
+constant space. Each block arrives as one
+:class:`~repro.trace.columnar.EventBatch` whose rows are
+``(etype, a, b, timestamp)`` with the *absolute* timestamp already
+reconstructed from the stored deltas.
 
 Error handling contract (exercised by the format tests):
 
@@ -23,8 +25,8 @@ from __future__ import annotations
 import os
 from typing import BinaryIO, Iterator
 
-from repro.trace.codec import Event, make_decoder
-from repro.trace.columnar import EventBatch, columnar_enabled
+from repro.trace.codec import Event, V2BatchDecoder
+from repro.trace.columnar import EventBatch
 from repro.trace.events import (MAGIC, TRACE_VERSION_V2, TRAILER,
                                 TraceError, TraceFooter, TraceHeader,
                                 TraceTruncatedError, TraceVersionError,
@@ -33,8 +35,9 @@ from repro.trace.events import (MAGIC, TRACE_VERSION_V2, TRAILER,
 
 
 class TraceReader:
-    """Streams one trace file; each ``events()`` call restarts from the
-    first record, so a reader can replay the same trace repeatedly."""
+    """Streams one trace file; each :meth:`batches` call restarts from
+    the first record, so a reader can replay the same trace
+    repeatedly."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
@@ -47,10 +50,10 @@ class TraceReader:
             self._handle.close()
             raise
         self._events_start = self._handle.tell()
-        #: Populated once ``events()`` has been fully consumed.
+        #: Populated once ``batches()`` has been fully consumed.
         self.footer: TraceFooter | None = None
-        #: The decoder of the most recent ``events()`` pass (exposes
-        #: per-stream stats such as v2 block/byte counts).
+        #: The decoder of the most recent pass (exposes per-stream
+        #: stats such as block/byte counts).
         self.decoder = None
 
     # -- setup -------------------------------------------------------------
@@ -87,65 +90,43 @@ class TraceReader:
         """File offset of the first block (the genesis shard seam)."""
         return self._events_start
 
-    def events(self, block_hook=None,
-               columnar: bool | None = None) -> Iterator[Event]:
-        """Yield ``(etype, a, b, timestamp)`` for every recorded event.
-
-        The FINISH event is yielded too (consumers map it to
-        ``on_finish``); afterwards the footer is parsed and exposed as
-        :attr:`footer`. ``block_hook`` is forwarded to the decoder —
-        the shard scan's window into block boundaries. ``columnar``
-        picks the decoder flavor: the batch decoder streams the same
-        events block-at-a-time (the default when numpy is available;
-        see :func:`repro.trace.columnar.columnar_enabled`).
-        """
+    def batches(self, block_hook=None) -> Iterator[EventBatch]:
+        """Yield one :class:`EventBatch` per block (what the replay
+        engine consumes). The FINISH event is included (consumers map
+        it to ``on_finish``); afterwards the footer is parsed and
+        exposed as :attr:`footer`. ``block_hook`` is forwarded to the
+        decoder — the shard scan's window into block boundaries."""
         self._handle.seek(self._events_start)
-        decoder = make_decoder(self._handle, self.path,
-                               block_hook=block_hook,
-                               columnar=columnar_enabled(columnar))
+        decoder = V2BatchDecoder(self._handle, self.path,
+                                 block_hook=block_hook)
         self.decoder = decoder
-        yield from decoder.events()
+        yield from decoder.batches()
         # The decoder returned, so FINISH was seen (anything else
         # raised); everything after the records is the footer.
         self.read_footer()
 
-    def batches(self, block_hook=None) -> Iterator[EventBatch]:
-        """Yield one :class:`EventBatch` per block (the replay engines'
-        fast path), then parse the footer like :meth:`events`."""
-        self._handle.seek(self._events_start)
-        decoder = make_decoder(self._handle, self.path,
-                               block_hook=block_hook, columnar=True)
-        self.decoder = decoder
-        yield from decoder.batches()
-        self.read_footer()
+    def events(self) -> Iterator[Event]:
+        """Row view of :meth:`batches`: ``(etype, a, b, timestamp)``
+        for every recorded event, FINISH included."""
+        for batch in self.batches():
+            yield from batch.rows()
 
-    def events_from(self, offset: int,
-                    codec_state: dict | None = None,
-                    columnar: bool | None = None) -> Iterator[Event]:
-        """Stream events from a checkpointed seam instead of the start.
+    def batches_from(self, offset: int,
+                     codec_state: dict | None = None
+                     ) -> Iterator[EventBatch]:
+        """Stream :class:`EventBatch` objects from a checkpointed seam
+        instead of the start.
 
         ``offset`` must be a block boundary and ``codec_state`` the
-        decoder state a checkpoint captured there ({"time": ..., "prev": {...}}); anything else
+        decoder state a checkpoint captured there
+        (``{"time": ..., "prev": {...}}``); anything else
         desynchronizes the delta decoding. The caller owns termination
         — this iterator neither stops at the next checkpoint nor reads
         the footer (segment drivers consume exactly their slice; the
         FINISH record still ends the stream for the final segment).
         """
         self._handle.seek(offset)
-        decoder = make_decoder(self._handle, self.path, state=codec_state,
-                               columnar=columnar_enabled(columnar))
-        self.decoder = decoder
-        return decoder.events()
-
-    def batches_from(self, offset: int,
-                     codec_state: dict | None = None
-                     ) -> Iterator[EventBatch]:
-        """Batch flavor of :meth:`events_from`: stream
-        :class:`EventBatch` objects from a checkpointed seam. Same
-        caller-owns-termination contract (no footer read)."""
-        self._handle.seek(offset)
-        decoder = make_decoder(self._handle, self.path, state=codec_state,
-                               columnar=True)
+        decoder = V2BatchDecoder(self._handle, self.path, state=codec_state)
         self.decoder = decoder
         return decoder.batches()
 

@@ -19,113 +19,25 @@ the shared registry — the same objects that attach to a live
 interpreter run and that the batch driver spawns, which is exactly the
 symmetry the bench harness uses for its replay-vs-rerun comparison.
 
-Deprecated aliases (``TraceConsumer``, ``DependenceConsumer``,
-``LocalityConsumer``, ``HotAddressConsumer``, ``CountingConsumer``,
-``CONSUMERS``, ``make_consumers``) are kept so pre-registry callers
-continue to work; new code should import from :mod:`repro.analyses`.
+There is one engine, :func:`dispatch_batches`, for serial and segment
+replay alike: it walks decoded blocks and falls back to per-event hooks
+only for plugins without ``consume_batch``.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.analyses import (Analysis, AnalysisContext, AnalysisError,
-                            AnalysisResult, get_analysis, live_hooks,
-                            make_analyses, register, registry, unregister)
-from repro.analyses.builtin import (ContextDependenceAnalysis,
-                                    CountingAnalysis, DependenceAnalysis,
-                                    FlatDependenceAnalysis, HotAddress,
-                                    HotAddressAnalysis, LocalityAnalysis,
-                                    LocalityResult)
+                            AnalysisResult, live_hooks, make_analyses)
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.memory import Memory
-from repro.trace.columnar import columnar_enabled
-from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
-                                EV_CHECKPOINT, EV_ENTER, EV_EXIT,
-                                EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
+from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
+                                EV_EXIT, EV_FREE, EV_READ, EV_WRITE,
                                 TraceError, source_digest)
 from repro.trace.reader import TraceReader
-
-# -- deprecated pre-registry names (thin shims) -----------------------------
-
-#: Deprecated alias: a "trace consumer" is now any registered Analysis.
-TraceConsumer = Analysis
-#: Deprecated alias for :class:`repro.analyses.AnalysisContext`.
-ReplayContext = AnalysisContext
-DependenceConsumer = DependenceAnalysis
-LocalityConsumer = LocalityAnalysis
-HotAddressConsumer = HotAddressAnalysis
-CountingConsumer = CountingAnalysis
-FlatConsumer = FlatDependenceAnalysis
-ContextConsumer = ContextDependenceAnalysis
-
-class _ConsumerRegistry(MutableMapping):
-    """Deprecated writable view of the shared analysis registry.
-
-    Pre-registry code registered plugins with ``CONSUMERS[name] = cls``
-    (plain dict semantics, overwrite allowed); this shim forwards those
-    writes to :func:`repro.analyses.register` so both worlds stay in
-    sync. New code should use the ``@register`` decorator.
-    """
-
-    def __getitem__(self, name: str) -> type[Analysis]:
-        try:
-            return get_analysis(name)
-        except AnalysisError:
-            raise KeyError(name) from None
-
-    def __setitem__(self, name: str, cls: type[Analysis]) -> None:
-        # Validate before touching the registry: a bad assignment must
-        # not evict whatever `name` currently maps to.
-        if not (isinstance(cls, type) and issubclass(cls, Analysis)):
-            raise AnalysisError(
-                f"CONSUMERS[{name!r}] expects an Analysis subclass, "
-                f"got {cls!r}")
-        if not getattr(cls, "name", ""):
-            cls.name = name
-        if cls.name != name:
-            raise AnalysisError(
-                f"cannot register {cls.__qualname__} as {name!r}: its "
-                f"name is {cls.name!r}")
-        previous = registry().get(name)
-        unregister(name)  # dict semantics: assignment overwrites
-        try:
-            register(cls)
-        except AnalysisError:
-            if previous is not None:
-                register(previous)
-            raise
-
-    def __delitem__(self, name: str) -> None:
-        if name not in registry():
-            raise KeyError(name)
-        unregister(name)
-
-    def __iter__(self):
-        return iter(registry())
-
-    def __len__(self) -> int:
-        return len(registry())
-
-
-#: Deprecated: a live writable view of the shared analysis registry
-#: (new plugins registered via ``@register`` appear here automatically,
-#: and ``CONSUMERS[name] = cls`` still registers like the old dict did).
-CONSUMERS = _ConsumerRegistry()
-
-
-def make_consumers(analyses: Iterable[str] | str) -> list[Analysis]:
-    """Deprecated alias for :func:`repro.analyses.make_analyses`;
-    raises :class:`TraceError` for unknown names (pre-registry
-    behaviour)."""
-    try:
-        return make_analyses(analyses)
-    except AnalysisError as exc:
-        raise TraceError(str(exc)) from None
-
 
 #: Hooks the engine dispatches from trace events. Must cover every
 #: Tracer event hook (``repro.runtime.tracing.TRACER_HOOKS``) — a hook
@@ -139,8 +51,8 @@ DISPATCHED_HOOKS = ("on_enter_function", "on_exit_function",
 def _batch_mode(consumer) -> str | None:
     """How a consumer wants its events: ``"block"``/``"span"`` if it
     declared a usable ``consume_batch``, else ``None`` (per-event
-    hooks). Non-Analysis tracers without the attributes land on the
-    scalar path automatically."""
+    hooks). Non-Analysis tracers without the attributes get per-event
+    hooks automatically."""
     kind = getattr(consumer, "batch_kind", None)
     if kind not in ("block", "span"):
         return None
@@ -153,7 +65,7 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                      functions: list, check_allocs: bool = True,
                      budget: int | None = None,
                      segment: bool = False) -> tuple[int, int]:
-    """Columnar twin of the scalar dispatch loops: drive decoded
+    """The replay engine: drive decoded
     :class:`~repro.trace.columnar.EventBatch` blocks through the
     consumers, replaying memory reconstruction at the structural seams.
 
@@ -165,10 +77,9 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     * ``"span"`` — ``consume_batch`` sees the maximal memory-quiet
       sub-batches between structural events; the structural events
       themselves (ENTER/EXIT/ALLOC/FREE/FINISH) still arrive through
-      the scalar hooks with memory synchronized exactly as the scalar
-      engine would have it;
-    * ``None`` — every event is dispatched per-hook, exactly like the
-      scalar loop (custom plugins keep working unmodified).
+      the per-event hooks with memory synchronized to that event;
+    * ``None`` — every event is dispatched per-hook in recorded order,
+      as a live run would (custom plugins keep working unmodified).
 
     ``budget`` caps the number of events consumed (the parallel
     segment driver's slice discipline); ``segment`` selects the
@@ -177,25 +88,25 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     """
     block_consumers = [c for c in consumers if _batch_mode(c) == "block"]
     span_consumers = [c for c in consumers if _batch_mode(c) == "span"]
-    scalar_consumers = [c for c in consumers if _batch_mode(c) is None]
+    event_consumers = [c for c in consumers if _batch_mode(c) is None]
 
-    # Structural hooks fire for span + scalar consumers (block
+    # Structural hooks fire for span + per-event consumers (block
     # consumers already saw those events inside their batch); interior
-    # hooks fire for scalar consumers only.
-    hooked = span_consumers + scalar_consumers
+    # hooks fire for per-event consumers only.
+    hooked = span_consumers + event_consumers
     on_enter = live_hooks(hooked, "on_enter_function")
     on_exit = live_hooks(hooked, "on_exit_function")
     on_alloc = live_hooks(hooked, "on_heap_alloc")
     on_free = live_hooks(hooked, "on_frame_free")
     on_finish = live_hooks(hooked, "on_finish")
-    on_block = live_hooks(scalar_consumers, "on_block_enter")
-    on_branch = live_hooks(scalar_consumers, "on_branch")
-    on_read = live_hooks(scalar_consumers, "on_read")
-    on_write = live_hooks(scalar_consumers, "on_write")
+    on_block = live_hooks(event_consumers, "on_block_enter")
+    on_branch = live_hooks(event_consumers, "on_branch")
+    on_read = live_hooks(event_consumers, "on_read")
+    on_write = live_hooks(event_consumers, "on_write")
     block_feeds = [c.consume_batch for c in block_consumers]
     span_feeds = [c.consume_batch for c in span_consumers]
-    scalar_spans = bool(on_read or on_write or on_block or on_branch)
-    feed_spans = bool(span_feeds) or scalar_spans
+    event_spans = bool(on_read or on_write or on_block or on_branch)
+    feed_spans = bool(span_feeds) or event_spans
 
     push_frame = memory.push_frame
     pop_frame = memory.pop_frame
@@ -210,7 +121,7 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     def run_span(span) -> None:
         for feed in span_feeds:
             feed(span)
-        if not scalar_spans:
+        if not event_spans:
             return
         for etype, a, b, t in span.rows():
             if etype == EV_READ:
@@ -292,16 +203,10 @@ class ReplayEngine:
     """
 
     def __init__(self, reader: TraceReader, program: ProgramIR | None = None,
-                 check_allocs: bool = True, telemetry=None,
-                 columnar: bool | None = None):
+                 check_allocs: bool = True, telemetry=None):
         from repro.telemetry import as_telemetry
 
         self.telemetry = as_telemetry(telemetry)
-        #: Tri-state batch-path switch: ``None`` defers to
-        #: :func:`repro.trace.columnar.columnar_enabled` (env override,
-        #: then numpy availability); True/False force it — the bench
-        #: harness pins both sides this way.
-        self.columnar = columnar
         self.reader = reader
         header = reader.header
         if program is None:
@@ -343,27 +248,24 @@ class ReplayEngine:
                      analyses=names) as span:
             for consumer in consumers:
                 consumer.on_start(program, memory)
-            final_time = self._dispatch(consumers, memory, functions)
+            # Hook lists are bound inside dispatch_batches — after
+            # on_start, where analyses may rebind hooks.
+            final_time, _ = dispatch_batches(
+                reader.batches(), consumers, memory, functions,
+                check_allocs=self.check_allocs)
         wall = span.wall_seconds
+        # The batch stream ended at FINISH, so the footer has been read.
         footer = reader.footer
         if tm.enabled:
-            events = footer.events if footer is not None else 0
+            events = footer.events
             span.set(events=events)
             tm.count("trace.events_decoded", events)
             decoder = reader.decoder
-            compressed = getattr(decoder, "compressed_bytes", 0)
-            if compressed:
-                tm.count("trace.bytes_read", compressed)
-                tm.count("trace.blocks_read",
-                         getattr(decoder, "blocks", 0))
-            else:  # v1: fixed records, no compression layer
-                tm.count("trace.bytes_read",
-                         getattr(decoder, "records", 0) * 13)
-            vectorized = getattr(decoder, "blocks_vectorized", 0)
-            fallback = getattr(decoder, "blocks_fallback", 0)
-            if vectorized or fallback:
-                tm.count("trace.blocks_batched", vectorized)
-                tm.count("trace.blocks_scalar_fallback", fallback)
+            tm.count("trace.bytes_read", decoder.compressed_bytes)
+            tm.count("trace.blocks_read", decoder.blocks)
+            tm.count("trace.blocks_batched", decoder.blocks_vectorized)
+            tm.count("trace.blocks_scalar_fallback",
+                     decoder.blocks_fallback)
             from repro.telemetry import get_logger
 
             get_logger(__name__).info(
@@ -376,101 +278,15 @@ class ReplayEngine:
             program=program,
             memory=memory,
             final_time=final_time,
-            exit_value=footer.exit_value if footer is not None else 0,
-            output=([tuple(v) for v in footer.output]
-                    if footer is not None else []),
-            events=footer.events if footer is not None else 0,
+            exit_value=footer.exit_value,
+            output=[tuple(v) for v in footer.output],
+            events=footer.events,
             wall_seconds=wall,
             mode="replay",
             sampling=None if sampling in (None, "", "full") else sampling,
             trace_path=reader.path,
             telemetry=tm,
         )
-
-    def _dispatch(self, consumers: list[Analysis], memory: Memory,
-                  functions: list) -> int:
-        """Stream every event through the bound hooks; returns the
-        final timestamp. Hook lists are bound here — after ``on_start``
-        (analyses may rebind hooks there) — dropping inherited no-op
-        hooks from the dispatch.
-
-        Traces ride the columnar batch path when enabled (see
-        :func:`repro.trace.columnar.columnar_enabled`); disabled runs
-        use the per-event loop below, which stays the reference
-        semantics the batch path is tested against."""
-        reader = self.reader
-        if columnar_enabled(self.columnar):
-            final_time, _ = dispatch_batches(
-                reader.batches(), consumers, memory, functions,
-                check_allocs=self.check_allocs)
-            return final_time
-        on_enter = live_hooks(consumers, "on_enter_function")
-        on_exit = live_hooks(consumers, "on_exit_function")
-        on_block = live_hooks(consumers, "on_block_enter")
-        on_branch = live_hooks(consumers, "on_branch")
-        on_read = live_hooks(consumers, "on_read")
-        on_write = live_hooks(consumers, "on_write")
-        on_alloc = live_hooks(consumers, "on_heap_alloc")
-        on_free = live_hooks(consumers, "on_frame_free")
-        on_finish = live_hooks(consumers, "on_finish")
-
-        push_frame = memory.push_frame
-        pop_frame = memory.pop_frame
-        heap_alloc = memory.heap_alloc
-        heap_free = memory.heap_free
-        heap_base = memory.heap_base
-        check_allocs = self.check_allocs
-
-        final_time = 0
-        for etype, a, b, t in reader.events(columnar=False):
-            if etype == EV_READ:
-                for hook in on_read:
-                    hook(a, b, t)
-            elif etype == EV_WRITE:
-                for hook in on_write:
-                    hook(a, b, t)
-            elif etype == EV_BLOCK:
-                for hook in on_block:
-                    hook(a, t)
-            elif etype == EV_BRANCH:
-                for hook in on_branch:
-                    hook(a, b, t)
-            elif etype == EV_ENTER:
-                push_frame(functions[a])
-                name = functions[a].name
-                for hook in on_enter:
-                    hook(name, b, t)
-            elif etype == EV_EXIT:
-                name = functions[a].name
-                for hook in on_exit:
-                    hook(name, t)
-                pop_frame()
-            elif etype == EV_FREE:
-                # Heap blocks always have size > 0; an empty range is a
-                # degenerate stack-frame free (and could sit exactly at
-                # heap_base when the stack region is full).
-                if b and a >= heap_base:
-                    heap_free(a)
-                hi = a + b
-                for hook in on_free:
-                    hook(a, hi)
-            elif etype == EV_ALLOC:
-                base = heap_alloc(b)
-                if check_allocs and base != a:
-                    raise TraceError(
-                        f"heap replay diverged: alloc returned {base}, "
-                        f"trace recorded {a}")
-                for hook in on_alloc:
-                    hook(a, b, t)
-            elif etype == EV_FINISH:
-                final_time = t
-                for hook in on_finish:
-                    hook(t)
-            elif etype == EV_CHECKPOINT:
-                pass  # shard seam marker: no analysis-visible content
-            else:
-                raise TraceError(f"unknown event type {etype}")
-        return final_time
 
 
 @dataclass
@@ -499,25 +315,25 @@ class ReplayOutcome:
 
 def replay_trace(path: str, analyses: Iterable[str] | str = ("dep",),
                  program: ProgramIR | None = None,
-                 telemetry=None,
-                 columnar: bool | None = None) -> ReplayOutcome:
-    """Replay ``path`` through the named analyses in one pass."""
-    consumers = make_consumers(analyses)
-    return replay_with(path, consumers, program, telemetry=telemetry,
-                       columnar=columnar)
+                 telemetry=None) -> ReplayOutcome:
+    """Replay ``path`` through the named analyses in one pass; unknown
+    or empty analysis names raise :class:`TraceError`."""
+    try:
+        consumers = make_analyses(analyses)
+    except AnalysisError as exc:
+        raise TraceError(str(exc)) from None
+    return replay_with(path, consumers, program, telemetry=telemetry)
 
 
 def replay_with(path: str, consumers: list[Analysis],
                 program: ProgramIR | None = None,
-                telemetry=None,
-                columnar: bool | None = None) -> ReplayOutcome:
+                telemetry=None) -> ReplayOutcome:
     """Replay ``path`` through already-instantiated analyses."""
     from repro.telemetry import as_telemetry
 
     tm = as_telemetry(telemetry)
     with TraceReader(path) as reader:
-        engine = ReplayEngine(reader, program, telemetry=tm,
-                              columnar=columnar)
+        engine = ReplayEngine(reader, program, telemetry=tm)
         ctx = engine.run(consumers)
     reports = {}
     for consumer in consumers:

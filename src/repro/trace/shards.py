@@ -20,7 +20,7 @@ streamed every earlier event:
   deferred to the merge — see ``repro.analyses.merging``);
 * **codec state** — the per-type deltas and the clock at the block
   boundary, plus the absolute file offset of the next block, so a
-  reader seeks straight to the seam (`TraceReader.events_from`).
+  reader seeks straight to the seam (`TraceReader.batches_from`).
 
 Recording does no checkpoint work. Seams are placed after the fact by
 :func:`build_checkpoints`, one serial scan that drives a
@@ -59,6 +59,11 @@ SIDECAR_SUFFIX = ".ckpt"
 #: Schema tag inside sidecar files (bump when the payload changes).
 _SIDECAR_SCHEMA = 1
 
+#: Largest sidecar read back; a bigger file is treated as stale (and
+#: rescanned) without being parsed. Bundled workloads' sidecars stay
+#: under 160 KB at scale 1.0 even at ``interval=1000``.
+MAX_SIDECAR_BYTES = 16 << 20
+
 
 # ---------------------------------------------------------------------------
 # Checkpoint payload
@@ -96,7 +101,7 @@ class Checkpoint:
             raise TraceError(f"corrupt checkpoint payload: {exc}") from exc
 
     def decoder_state(self) -> dict:
-        """What ``TraceReader.events_from`` needs at this seam."""
+        """What ``TraceReader.batches_from`` needs at this seam."""
         return {"time": self.time, **self.codec}
 
     def shadow_entries(self):
@@ -401,6 +406,32 @@ def _sidecar_path(path: str) -> str:
     return path + SIDECAR_SUFFIX
 
 
+def _read_sidecar(side: str, key: dict) -> dict | None:
+    """The sidecar at ``side`` if it is a JSON object matching every
+    ``key`` item and holding a ``checkpoints`` list, else ``None``.
+
+    Missing, oversized, torn and foreign files all read as stale;
+    reading is bounded by :data:`MAX_SIDECAR_BYTES`.
+    """
+    try:
+        with open(side, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size > MAX_SIDECAR_BYTES:
+                return None
+            blob = handle.read(size)
+    except OSError:
+        return None
+    try:
+        data = json.loads(blob)
+    except (ValueError, RecursionError):  # bad bytes, syntax, nesting
+        return None
+    if (not isinstance(data, dict)
+            or not isinstance(data.get("checkpoints"), list)
+            or any(data.get(k) != v for k, v in key.items())):
+        return None
+    return data
+
+
 def probe_sidecar(path: str | os.PathLike) -> dict | None:
     """Non-destructively inspect the ``.ckpt`` sidecar of ``path``.
 
@@ -408,8 +439,8 @@ def probe_sidecar(path: str | os.PathLike) -> dict | None:
     and still matches the trace (same schema, size, digest and sampling
     — any ``interval`` is accepted, since ``info`` reports what is
     cached rather than demanding a particular stride), else ``None``:
-    missing, stale or torn sidecars all read as "no cached seams",
-    exactly as the loader would treat them.
+    missing, stale, torn or malformed sidecars all read as "no cached
+    seams", exactly as the loader would treat them.
     """
     path = os.fspath(path)
     side = _sidecar_path(path)
@@ -420,16 +451,14 @@ def probe_sidecar(path: str | os.PathLike) -> dict | None:
         with TraceReader(path) as reader:
             digest = reader.header.digest
             sampling = reader.header.sampling
-        with open(side) as handle:
-            data = json.load(handle)
-        key = {"schema": _SIDECAR_SCHEMA, "size": size,
-               "digest": digest, "sampling": sampling}
-        if not all(data.get(k) == v for k, v in key.items()):
-            return None
-        return {"checkpoints": len(data["checkpoints"]),
-                "interval": data.get("interval")}
-    except (OSError, ValueError, KeyError, TraceError):
+    except (OSError, TraceError):
         return None
+    data = _read_sidecar(side, {"schema": _SIDECAR_SCHEMA, "size": size,
+                                "digest": digest, "sampling": sampling})
+    if data is None:
+        return None
+    return {"checkpoints": len(data["checkpoints"]),
+            "interval": data.get("interval")}
 
 
 def load_or_build_checkpoints(path: str | os.PathLike,
@@ -439,7 +468,8 @@ def load_or_build_checkpoints(path: str | os.PathLike,
 
     The cache is keyed on the trace's size and header digest (plus the
     interval), so a re-recorded file never resurrects stale seams.
-    Sidecar I/O failures degrade to scanning — never to an error.
+    Sidecar I/O failures and malformed sidecars degrade to scanning —
+    never to an error.
     """
     path = os.fspath(path)
     size = os.path.getsize(path)
@@ -449,14 +479,11 @@ def load_or_build_checkpoints(path: str | os.PathLike,
     key = {"schema": _SIDECAR_SCHEMA, "size": size, "digest": digest,
            "sampling": sampling, "interval": interval}
     side = _sidecar_path(path)
-    if sidecar and os.path.exists(side):
+    data = _read_sidecar(side, key) if sidecar else None
+    if data is not None:
         try:
-            with open(side) as handle:
-                data = json.load(handle)
-            if all(data.get(k) == v for k, v in key.items()):
-                return [Checkpoint.from_payload(p)
-                        for p in data["checkpoints"]]
-        except (OSError, ValueError, KeyError, TraceError):
+            return [Checkpoint.from_payload(p) for p in data["checkpoints"]]
+        except TraceError:
             pass
     checkpoints = build_checkpoints(path, interval)
     if sidecar:

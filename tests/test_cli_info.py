@@ -186,27 +186,37 @@ class TestCorruptTraceExit2:
 
 
 class TestBenchTraceVerb:
-    def test_columnar_only_writes_artifact_and_checks_parity(
-            self, capsys, tmp_path):
+    def test_writes_artifact_and_checks_parity(self, capsys, tmp_path):
         import json
 
         out = tmp_path / "BENCH_trace.json"
         assert main(["bench-trace", "--workloads", "gzip",
                      "--scale", "0.25", "--repeats", "1",
-                     "--columnar-only", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "columnar replay core:" in captured.out
-        assert "parity: batch == scalar" in captured.out
+        assert "record once + replay:" in captured.out
+        assert "parity: replay == live" in captured.out
         data = json.loads(out.read_text())
-        assert data["bench"] == "trace_columnar_vs_scalar"
+        assert data["bench"] == "trace_replay_vs_rerun"
         assert data["rows"][0]["name"] == "gzip"
         assert data["rows"][0]["events"] > 0
+
+    def test_divergence_exits_1(self, capsys, tmp_path, monkeypatch):
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "_trace_parity_check",
+                            lambda names, scale: list(names))
+        assert main(["bench-trace", "--workloads", "gzip",
+                     "--scale", "0.1", "--repeats", "1",
+                     "--out", str(tmp_path / "B.json")]) == 1
+        assert "replay diverged from the live run on: gzip" \
+            in capsys.readouterr().err
 
     def test_skip_parity_skips_the_check(self, capsys, tmp_path):
         out = tmp_path / "BENCH_trace.json"
         assert main(["bench-trace", "--workloads", "aes",
                      "--scale", "0.25", "--repeats", "1",
-                     "--columnar-only", "--skip-parity",
+                     "--skip-parity",
                      "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert "parity" not in captured.out

@@ -77,9 +77,9 @@ class TestJobs:
     def test_legacy_nondict_result_payload_preserved(self, tmp_path):
         """Pre-registry consumers whose result() returns a non-dict
         (like the old HotAddressConsumer's list) keep that payload."""
-        from repro.trace.replay import CONSUMERS, TraceConsumer
+        from repro.analyses import Analysis, register, unregister
 
-        class LegacyList(TraceConsumer):
+        class LegacyList(Analysis):
             name = "legacy-list-test"
 
             def __init__(self):
@@ -95,7 +95,7 @@ class TestJobs:
         assert run_job(BatchJob(kind="record", name="gzip",
                                 workload="gzip", scale=SCALE,
                                 trace_path=trace)).ok
-        CONSUMERS["legacy-list-test"] = LegacyList
+        register(LegacyList)
         try:
             result = run_job(BatchJob(kind="replay", name="gzip",
                                       trace_path=trace,
@@ -104,7 +104,7 @@ class TestJobs:
             payload = result.payload["legacy-list-test"]
             assert isinstance(payload, list) and len(payload) == 3
         finally:
-            del CONSUMERS["legacy-list-test"]
+            unregister("legacy-list-test")
 
     def test_errors_travel_as_data(self, tmp_path):
         result = run_job(BatchJob(kind="replay", name="missing",

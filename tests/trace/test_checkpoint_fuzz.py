@@ -129,8 +129,9 @@ def _verify_trace(path, interval):
                 consumed += 1
 
             # Oracle 1: the resumed stream equals the serial tail.
-            resumed = list(reader.events_from(
-                checkpoint.offset, checkpoint.decoder_state()))
+            resumed = [row for batch in reader.batches_from(
+                checkpoint.offset, checkpoint.decoder_state())
+                for row in batch.rows()]
             assert resumed == serial_events[checkpoint.index:], \
                 f"stream diverges at checkpoint {checkpoint.index}"
 

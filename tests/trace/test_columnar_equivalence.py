@@ -15,8 +15,8 @@ suite pins that promise:
 * hand-crafted corrupt blocks covering both codec hardening fixes —
   the bounded-varint cap and the encoder's non-monotone-clock
   rejection;
-* batch-vs-scalar replay-engine parity over every registered analysis
-  plus a scalar-only custom plugin (the fallback dispatch path).
+* replay-vs-live parity over every registered analysis plus a custom
+  plugin without ``consume_batch`` (the engine's per-event fallback).
 """
 
 from __future__ import annotations
@@ -251,36 +251,53 @@ class TestEncoderClockGuard:
 
 
 class TestEngineParity:
-    """Batch dispatch must reproduce scalar replay exactly — for the
-    builtin analyses and for plugins that never opted in."""
+    """Batch replay must reproduce the live run exactly — for the
+    builtin analyses and for plugins that never opted in. The live
+    interpreter shares no dispatch code with the replay engine."""
+
+    WORKLOAD = "aes"
 
     @pytest.fixture(scope="class")
-    def trace(self, tmp_path_factory):
+    def source(self):
         from repro.workloads import get
+
+        return get(self.WORKLOAD, 0.25).source
+
+    @pytest.fixture(scope="class")
+    def trace(self, source, tmp_path_factory):
         from tests.trace.recording import record_legacy
 
         # The legacy layout puts no-op EV_CHECKPOINT markers in the
-        # stream, which both engines must skip alike.
+        # stream, which replay must skip.
         path = str(tmp_path_factory.mktemp("col") / "wl.trace")
-        record_legacy(get("aes", 0.25).source, path, interval=2000)
+        record_legacy(source, path, interval=2000)
         return path
 
-    def test_all_registered_analyses_identical(self, trace):
-        from repro.analyses import analysis_names
+    @staticmethod
+    def live(source, names):
+        from repro.api import Session
+
+        with Session() as session:
+            report = session.analyze(source, names, mode="live")
+        return {name: report[name].to_dict() for name in names}
+
+    def test_all_registered_analyses_identical(self, source, trace):
+        from repro.analyses import analysis_names, get_analysis
         from repro.trace.replay import replay_trace
 
-        names = analysis_names()
-        scalar = replay_trace(trace, names, columnar=False)
-        batch = replay_trace(trace, names, columnar=True)
+        names = [name for name in analysis_names()
+                 if not get_analysis(name).requires_live]
+        live = self.live(source, names)
+        replayed = replay_trace(trace, names)
         for name in names:
-            assert (batch.reports[name].to_dict()
-                    == scalar.reports[name].to_dict()), name
+            assert replayed.reports[name].to_dict() == live[name], name
 
-    def test_scalar_only_plugin_sees_every_event(self, trace):
+    def test_scalar_only_plugin_sees_every_event(self, source, trace):
         """A plugin without ``consume_batch`` rides the per-event
-        fallback inside the batch engine — same hook sequence."""
+        fallback inside the batch engine — the live hook sequence."""
         from repro.analyses import Analysis
         from repro.analyses.base import AnalysisResult
+        from repro.runtime.interpreter import run_source
         from repro.trace.replay import replay_with
 
         class Probe(Analysis):
@@ -322,24 +339,21 @@ class TestEngineParity:
                                       data={"events": len(self.log)},
                                       text="probe")
 
-        runs = {}
-        for mode in (False, True):
-            probe = Probe()
-            replay_with(trace, [probe], columnar=mode)
-            runs[mode] = probe.log
-        assert runs[True] == runs[False]
-        assert runs[True]  # the probe actually saw the stream
+        live = Probe()
+        run_source(source, tracer=live)
+        replayed = Probe()
+        replay_with(trace, [replayed])
+        assert replayed.log == live.log
+        assert replayed.log  # the probe actually saw the stream
 
-    def test_mixed_batch_and_scalar_consumers(self, trace):
-        """Block, span, and scalar consumers in one engine pass agree
-        with an all-scalar pass (the dispatch-split seams)."""
+    def test_mixed_batch_and_scalar_consumers(self, source, trace):
+        """Block, span, and per-event consumers in one engine pass
+        agree with the live run (the dispatch-split seams)."""
         from repro.analyses import make_analyses
         from repro.trace.replay import replay_with
 
-        def run(columnar):
-            consumers = make_analyses(("counts", "dep", "hot"))
-            outcome = replay_with(trace, consumers, columnar=columnar)
-            return {name: report.to_dict()
+        names = ("counts", "dep", "hot")
+        outcome = replay_with(trace, make_analyses(names))
+        replayed = {name: report.to_dict()
                     for name, report in outcome.reports.items()}
-
-        assert run(True) == run(False)
+        assert replayed == self.live(source, names)

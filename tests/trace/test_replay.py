@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analyses.builtin import CountingAnalysis, LocalityAnalysis
 from repro.core.alchemist import Alchemist
 from repro.core.profile_data import DepKind
 from repro.runtime.interpreter import run_source
 from repro.trace import TraceError, TraceReader, record_source, replay_trace
-from repro.trace.replay import (CountingConsumer, HotAddressConsumer,
-                                LocalityConsumer, ReplayEngine,
-                                make_consumers)
+from repro.trace.replay import ReplayEngine
 from repro.workloads import get
 
 #: Workloads for the replay-vs-live equivalence criterion: an array
@@ -129,7 +128,7 @@ class TestLocalityExactness:
 
         rng = random.Random(1234)
         accesses = [rng.randrange(60) for _ in range(2500)]
-        consumer = LocalityConsumer()
+        consumer = LocalityAnalysis()
         expected_hist: dict[int, int] = {}
         expected_cold = 0
         last_index: dict[int, int] = {}
@@ -146,7 +145,7 @@ class TestLocalityExactness:
         assert consumer.stats.histogram == expected_hist
 
     def test_hit_fraction_bounds(self):
-        consumer = LocalityConsumer()
+        consumer = LocalityAnalysis()
         for i, addr in enumerate([1, 2, 1, 2, 1, 2]):
             consumer.on_write(addr, 0, i)
         stats = consumer.stats
@@ -159,7 +158,7 @@ class TestConsumerSymmetry:
     """Consumers double as live tracers; live and replay must agree."""
 
     @pytest.mark.parametrize("consumer_cls",
-                             [CountingConsumer, LocalityConsumer])
+                             [CountingAnalysis, LocalityAnalysis])
     def test_live_equals_replay(self, consumer_cls, tmp_path):
         workload = get("aes", SCALE)
         live = consumer_cls()
@@ -170,7 +169,7 @@ class TestConsumerSymmetry:
         outcome = replay_trace(str(path), (consumer_cls.name,))
         replayed = outcome.results[consumer_cls.name]
 
-        if consumer_cls is CountingConsumer:
+        if consumer_cls is CountingAnalysis:
             assert live.counts == replayed
         else:
             assert live.stats == replayed
@@ -183,9 +182,11 @@ class TestEngineValidation:
         with pytest.raises(TraceError, match="unknown analysis"):
             replay_trace(str(path), ("nope",))
 
-    def test_no_analyses_rejected(self):
+    def test_no_analyses_rejected(self, tmp_path):
+        path = tmp_path / "x.trace"
+        record_source("int main() { return 0; }", path)
         with pytest.raises(TraceError, match="no analyses"):
-            make_consumers("")
+            replay_trace(str(path), "")
 
     def test_replay_reconstructs_heap_names(self, tmp_path):
         """Heap recycling must replay deterministically (name check)."""

@@ -87,3 +87,48 @@ class TestAtomicSidecar:
             with open(trace + SIDECAR_SUFFIX) as handle:
                 data = json.load(handle)
             assert data["interval"] == interval
+
+
+def _sidecar_key(trace, interval):
+    from repro.trace.reader import TraceReader
+
+    with TraceReader(trace) as reader:
+        header = reader.header
+    return {"schema": 1, "size": os.path.getsize(trace),
+            "digest": header.digest, "sampling": header.sampling,
+            "interval": interval}
+
+
+class TestMalformedSidecar:
+    """Any sidecar that is not an object holding a ``checkpoints`` list,
+    or that exceeds the read cap, is stale: ``info`` reports no seams
+    and the loader rescans."""
+
+    @pytest.mark.parametrize("case", ["list", "int", "str",
+                                      "keyed-int-checkpoints", "over-cap"])
+    def test_malformed_sidecar_is_stale(self, case, trace, capsys,
+                                        monkeypatch):
+        from repro.cli import main
+        from repro.trace import shards
+        from repro.trace.shards import build_checkpoints, probe_sidecar
+
+        interval = 200
+        fresh = [c.to_payload() for c in build_checkpoints(trace, interval)]
+        key = _sidecar_key(trace, interval)
+        if case == "over-cap":
+            # A sidecar that would load, one byte past the cap.
+            blob = json.dumps(dict(key, checkpoints=fresh))
+            monkeypatch.setattr(shards, "MAX_SIDECAR_BYTES", len(blob) + 16)
+            blob += " " * 17
+        else:
+            blob = json.dumps({"list": [], "int": 3, "str": "x",
+                               "keyed-int-checkpoints":
+                                   dict(key, checkpoints=7)}[case])
+        with open(trace + SIDECAR_SUFFIX, "w") as handle:
+            handle.write(blob)
+
+        assert probe_sidecar(trace) is None
+        assert main(["info", trace]) == 0
+        assert "checkpoints:none" in capsys.readouterr().out
+        loaded = load_or_build_checkpoints(trace, interval=interval)
+        assert [c.to_payload() for c in loaded] == fresh

@@ -9,7 +9,8 @@ import pytest
 from repro.bench.sampling import v1_equivalent_bytes
 from repro.trace import (TRACE_VERSION_V2, TraceError, TraceReader,
                          TraceTruncatedError, record_source)
-from repro.trace.codec import BLOCK_HEADER, BLOCK_HEADER_SIZE
+from repro.trace.codec import (BLOCK_HEADER, BLOCK_HEADER_SIZE,
+                               V2BatchDecoder, V2Decoder)
 from repro.trace.events import EV_CHECKPOINT, source_digest
 from repro.trace.replay import replay_trace
 from tests.trace.recording import record_blocks, record_legacy
@@ -228,22 +229,20 @@ class TestCorruption:
         with pytest.raises(TraceError, match="length mismatch"):
             self._consume(bad)
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_inflation_bomb_is_bounded(self, columnar):
+    @pytest.mark.parametrize("decoder_cls", [V2Decoder, V2BatchDecoder],
+                             ids=lambda cls: cls.__name__)
+    def test_inflation_bomb_is_bounded(self, decoder_cls):
         """A block that declares 16 bytes but inflates to 64 MB is
         rejected after inflating at most 17, by both decoders."""
         import io
         import tracemalloc
-
-        from repro.trace.codec import make_decoder
 
         deflater = zlib.compressobj(9)
         chunk = bytes(1 << 20)
         payload = b"".join(deflater.compress(chunk) for _ in range(64))
         payload += deflater.flush()
         blob = BLOCK_HEADER.pack(len(payload), 16) + payload
-        decoder = make_decoder(io.BytesIO(blob), "<bomb>",
-                               columnar=columnar)
+        decoder = decoder_cls(io.BytesIO(blob), "<bomb>")
         tracemalloc.start()
         try:
             with pytest.raises(TraceError, match="length mismatch"):
