@@ -309,7 +309,6 @@ class Session:
                     with self.telemetry.span("analysis.finish",
                                              analysis=analysis.name):
                         report = analysis.finish(live_ctx)
-                    analysis.last_result = report
                     results[analysis.name] = report
                     modes[analysis.name] = "live"
                 self._attach_baseline(results, live)
@@ -378,11 +377,6 @@ class Session:
                     options={name: dict(merged_options.get(name, {}))
                              for name in names},
                     telemetry=self.telemetry)
-                # The driver ran its own instances (workers, or the
-                # serial fallback); stash results on the session's so
-                # the deprecated describe() surface works either way.
-                for analysis in replayed:
-                    analysis.last_result = outcome.reports[analysis.name]
                 if outcome.mode == "parallel":
                     self.stats.parallel_passes += 1
                     return outcome.reports, "parallel"

@@ -10,30 +10,21 @@ Fig. 2 / Fig. 3   :func:`repro.bench.harness.gzip_profile_listing`
 Fig. 6(a-d)       :func:`repro.bench.harness.fig6_data`
 ================  ====================================================
 
-``benchmarks/`` wraps these in pytest-benchmark targets; the text
-renderers live in :mod:`repro.bench.tables` and
-:mod:`repro.bench.figures`. Beyond the paper, two artifact benches
-measure this reproduction's own subsystems:
-:func:`repro.bench.harness.trace_bench` (BENCH_trace.json,
-replay-vs-rerun), :func:`repro.bench.sampling.sampling_bench`
-(BENCH_sampling.json, trace size/speed vs accuracy), and
-:func:`repro.bench.advisor.advisor_bench` (BENCH_advisor.json, the
-what-if advisor's trace-grounded predictions differentially verified
-against live simulation).
+``alchemist experiments`` and ``benchmarks/`` (pytest-benchmark
+targets) drive these; the text renderers live in
+:mod:`repro.bench.tables` and :mod:`repro.bench.figures`. The
+reproduction's own speed — cold, live, warm and sharded end-to-end rows
+plus a per-layer ledger — is measured by ``perfbench/run.py`` at the
+repository root, not here.
 """
 
-from repro.bench.advisor import advisor_bench
 from repro.bench.harness import (fig6_data, gzip_profile_listing,
                                  profile_workload, table3_rows, table4_rows,
-                                 table5_rows, trace_bench)
-from repro.bench.sampling import sampling_bench
+                                 table5_rows)
 from repro.bench.tables import (render_table3, render_table4, render_table5)
 from repro.bench.figures import render_fig6, render_profile_listing
 
 __all__ = [
-    "advisor_bench",
-    "trace_bench",
-    "sampling_bench",
     "profile_workload",
     "table3_rows",
     "table4_rows",

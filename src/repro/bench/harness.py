@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.core.profile_data import DepKind
 from repro.core.report import ConflictCounts, Fig6Row, ProfileReport
 from repro.ir.lowering import compile_source
 from repro.parallel.estimator import SpeedupResult, estimate_speedup
-from repro.util import atomic_write_json
 from repro.workloads import all_workloads, get
 from repro.workloads.base import Workload
 
@@ -255,260 +253,3 @@ def fig6_data(scale: float = 1.0, top: int = 12) -> dict[str, Fig6Panel]:
               "RAW dependences"),
     )
     return panels
-
-
-# ---------------------------------------------------------------------------
-# Trace subsystem — replay-vs-rerun speedup (BENCH_trace.json)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TraceBenchRow:
-    """One workload's record-once-replay-many comparison.
-
-    ``live_seconds`` is the honest baseline: one *live instrumented run
-    per analysis* (the dependence profiler via ``Alchemist.profile``,
-    the other consumers attached directly to an interpreter run — every
-    consumer doubles as a live tracer). ``record + replay`` answers the
-    same N questions with a single execution.
-    """
-
-    name: str
-    analyses: tuple[str, ...]
-    live_seconds: float
-    record_seconds: float
-    replay_seconds: float
-    events: int
-    trace_bytes: int
-
-    @property
-    def replay_total(self) -> float:
-        return self.record_seconds + self.replay_seconds
-
-    @property
-    def speedup(self) -> float:
-        if self.replay_total <= 0:
-            return float("nan")
-        return self.live_seconds / self.replay_total
-
-
-def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
-                     analyses: tuple[str, ...] = ("dep", "locality", "hot"),
-                     repeats: int = 1) -> list[TraceBenchRow]:
-    """Measure record+replay vs. N live instrumented runs per workload.
-
-    ``repeats`` > 1 keeps the minimum of several timings per side,
-    damping scheduler noise on small workloads.
-    """
-    import os
-    import tempfile
-
-    from repro.analyses import make_analyses
-    from repro.runtime.interpreter import run_source
-    from repro.trace.replay import replay_trace
-    from repro.trace.writer import record_source
-
-    from repro.workloads import names as workload_names
-
-    rows = []
-    for name in (names if names is not None else workload_names()):
-        workload = get(name, scale)
-        source = workload.source
-
-        # Untimed warmup: both sides touch the same code paths once, so
-        # first-measurement effects (imports, allocator growth) don't
-        # land on whichever side happens to run first.
-        with tempfile.TemporaryDirectory() as tmp:
-            warm = os.path.join(tmp, "warm.trace")
-            record_source(source, warm)
-            replay_trace(warm, analyses)
-        Alchemist().profile(source)
-
-        live_best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for analysis in analyses:
-                if analysis == "dep":
-                    Alchemist().profile(source)
-                else:
-                    # Registered analyses double as live tracers.
-                    run_source(source, tracer=make_analyses([analysis])[0])
-            live_best = min(live_best, time.perf_counter() - start)
-
-        record_best = float("inf")
-        replay_best = float("inf")
-        events = trace_bytes = 0
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, f"{name}.trace")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                recorded = record_source(source, path)
-                record_best = min(record_best,
-                                  time.perf_counter() - start)
-                events, trace_bytes = recorded.events, recorded.trace_bytes
-                start = time.perf_counter()
-                replay_trace(path, analyses)
-                replay_best = min(replay_best,
-                                  time.perf_counter() - start)
-        rows.append(TraceBenchRow(
-            name=name, analyses=tuple(analyses), live_seconds=live_best,
-            record_seconds=record_best, replay_seconds=replay_best,
-            events=events, trace_bytes=trace_bytes))
-    return rows
-
-
-def trace_bench(names: list[str] | None = None, scale: float = 0.5,
-                analyses: tuple[str, ...] = ("dep", "locality", "hot"),
-                out_path: str | None = "BENCH_trace.json",
-                repeats: int = 2) -> dict:
-    """The BENCH_trace.json artifact: per-workload rows plus totals."""
-    from repro.trace.events import TRACE_VERSION_V2
-
-    rows = trace_bench_rows(names, scale, analyses, repeats)
-    live = sum(r.live_seconds for r in rows)
-    rec = sum(r.record_seconds for r in rows)
-    rep = sum(r.replay_seconds for r in rows)
-    data = {
-        "bench": "trace_replay_vs_rerun",
-        "scale": scale,
-        "analyses": list(analyses),
-        "repeats": repeats,
-        "trace_version": TRACE_VERSION_V2,
-        "rows": [dict(asdict(r), speedup=r.speedup) for r in rows],
-        "total": {
-            "live_seconds": live,
-            "record_seconds": rec,
-            "replay_seconds": rep,
-            "speedup": live / (rec + rep) if rec + rep > 0 else float("nan"),
-        },
-    }
-    if out_path:
-        atomic_write_json(out_path, data)
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Parallel sharded replay — speedup artifact (BENCH_parallel.json)
-# ---------------------------------------------------------------------------
-
-def _makespan(durations: list[float], jobs: int) -> float:
-    """Longest-processing-time schedule of segment times over ``jobs``
-    workers — the wall clock the pool achieves once every worker has a
-    core to itself."""
-    bins = [0.0] * max(1, jobs)
-    for duration in sorted(durations, reverse=True):
-        index = bins.index(min(bins))
-        bins[index] += duration
-    return max(bins)
-
-
-def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
-                   analyses: tuple[str, ...] = ("dep", "locality", "hot"),
-                   jobs: int = 4, repeats: int = 2,
-                   out_path: str | None = "BENCH_parallel.json") -> dict:
-    """Measure sharded parallel replay against one serial pass.
-
-    Per workload: record once, size the seam interval from the event
-    count (about four segments per worker), time the serial replay and
-    the ``jobs``-worker parallel replay (minimum over ``repeats``; the
-    first parallel run also pays the seam scan and writes the sidecar),
-    verify the merged results equal serial bit-for-bit, and report two
-    speedups:
-
-    * ``measured_wall_speedup`` — serial / parallel wall on *this*
-      box. Only meaningful with at least ``jobs`` idle cores; on the
-      single-core CI runners it hovers near 1x by construction.
-    * ``speedup`` (the headline) — serial divided by the schedule the
-      measured per-segment times achieve on ``jobs`` workers (an LPT
-      makespan) plus the measured parent-side merge. This is the wall
-      clock a ``jobs``-core box gets, derived entirely from measured
-      work, not from a model of it.
-    """
-    import os
-    import tempfile
-
-    from repro.trace.parallel import parallel_replay
-    from repro.trace.replay import replay_trace
-    from repro.trace.writer import record_source
-
-    from repro.workloads import names as workload_names
-
-    rows = []
-    for name in (names if names is not None else workload_names()):
-        workload = get(name, scale)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, f"{name}.trace")
-            recorded = record_source(workload.source, path)
-            # Seams sit at block boundaries, so a trace shorter than a
-            # few blocks still shards into fewer segments than asked.
-            interval = max(1000, recorded.events // (jobs * 4))
-
-            serial_best = float("inf")
-            serial_outcome = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                serial_outcome = replay_trace(path, analyses)
-                serial_best = min(serial_best,
-                                  time.perf_counter() - start)
-
-            parallel_best = float("inf")
-            outcome = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                candidate = parallel_replay(path, analyses, jobs=jobs,
-                                            interval=interval)
-                elapsed = time.perf_counter() - start
-                if elapsed < parallel_best:
-                    parallel_best = elapsed
-                    outcome = candidate
-
-            identical = all(
-                outcome.reports[a].to_dict() ==
-                serial_outcome.reports[a].to_dict()
-                for a in analyses)
-            scheduled = (_makespan(outcome.segment_cpu_seconds, jobs)
-                         + outcome.merge_seconds)
-            rows.append({
-                "name": name,
-                "events": recorded.events,
-                "trace_bytes": recorded.trace_bytes,
-                "interval": interval,
-                "segments": len(outcome.plan.segments),
-                "mode": outcome.mode,
-                "results_identical_to_serial": identical,
-                "serial_seconds": serial_best,
-                "parallel_wall_seconds": parallel_best,
-                "segment_seconds": outcome.segment_seconds,
-                "segment_cpu_seconds": outcome.segment_cpu_seconds,
-                "merge_seconds": outcome.merge_seconds,
-                "scheduled_seconds": scheduled,
-                "measured_wall_speedup": (serial_best / parallel_best
-                                          if parallel_best > 0
-                                          else float("nan")),
-                "speedup": (serial_best / scheduled
-                            if scheduled > 0 else float("nan")),
-            })
-    meeting = [r["name"] for r in rows if r["speedup"] >= 2.0]
-    data = {
-        "bench": "parallel_sharded_replay",
-        "scale": scale,
-        "analyses": list(analyses),
-        "jobs": jobs,
-        "repeats": repeats,
-        "bench_cpus": os.cpu_count(),
-        "note": ("'speedup' schedules the measured per-segment worker "
-                 "CPU times over the requested jobs (LPT makespan) "
-                 "plus the measured merge — the wall clock of a box "
-                 "with that many idle cores; 'measured_wall_speedup' "
-                 "is the raw wall ratio on bench_cpus cores (near 1x "
-                 "when bench_cpus < jobs, by construction)."),
-        "rows": rows,
-        "summary": {
-            "workloads_at_2x": meeting,
-            "target_met": len(meeting) >= 4,
-            "all_results_identical": all(
-                r["results_identical_to_serial"] for r in rows),
-        },
-    }
-    if out_path:
-        atomic_write_json(out_path, data)
-    return data

@@ -27,8 +27,10 @@ gap, applying the policy's expected rate as a correction first:
     under-approximation. Sampled dependence results are hints, never
     proof.
 
-The report is JSON-able (it feeds ``BENCH_sampling.json``) and renders
-as text for the CLI.
+The report is JSON-able and renders as text for the CLI. The tier-1
+suite holds ``burst:500/1000`` to the sampling target on three Table
+III workloads: at least 5x smaller than the v1-equivalent trace at no
+more than 5% hot/locality error.
 """
 
 from __future__ import annotations

@@ -108,9 +108,8 @@ def run_job(job: BatchJob) -> BatchResult:
             }
         elif job.kind == "replay":
             # Analyses resolve through the shared registry; every
-            # AnalysisResult.data is JSON-able, hence picklable. Legacy
-            # result()-protocol consumers may produce no data dict —
-            # fall back to their raw payload (pre-registry behaviour).
+            # AnalysisResult.data is JSON-able, hence picklable. A
+            # result with an empty data dict ships its raw payload.
             if job.options:
                 from repro.analyses import make_analyses
                 from repro.trace.replay import replay_with

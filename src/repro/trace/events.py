@@ -50,8 +50,7 @@ TRAILER = b"ALCHEND\0"
 #: The one schema version this code reads and writes.
 TRACE_VERSION_V2 = 2
 #: Bytes per event of the retired v1 fixed-record format (``<BIII``),
-#: kept as the size baseline ``info`` and ``bench-sampling`` report
-#: against.
+#: kept as the size baseline ``info`` reports against.
 V1_RECORD_BYTES = 13
 
 _VERSION_STRUCT = Struct("<H")

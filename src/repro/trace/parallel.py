@@ -24,7 +24,8 @@ compile, checkpoint reconstruction, and a pickled export each, so tiny
 traces (fewer than ~100k events) or near-free analyses (``counts``)
 rarely gain; the win is on long traces with expensive analyses, where
 replay cost dominates and scales down with the worker count (see
-``docs/parallel-replay.md`` and ``BENCH_parallel.json``).
+``docs/parallel-replay.md``; ``perfbench/run.py``'s ``sharded``
+workload measures it end to end).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.analyses import (AnalysisContext, AnalysisResult,
@@ -80,7 +81,7 @@ def run_segment(job: dict) -> dict:
     ``job["telemetry"]`` the worker builds its own :class:`Telemetry`
     and ships the span tree + counters back for the coordinator to
     stitch; without it the NULL path still times the segment (the
-    ``seconds``/``cpu_seconds`` fields are span-derived either way).
+    ``seconds`` field is span-derived either way).
     """
     from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -110,12 +111,8 @@ def run_segment(job: dict) -> dict:
         "exports": exports,
         "events": consumed,
         "memory": memory_snapshot,
-        # Span-derived wall time; CPU time is the honest per-segment
-        # cost when workers contend for cores (wall time on an
-        # oversubscribed box includes the scheduler's time-slicing,
-        # which is not the segment's work).
+        # Span-derived wall time (feeds the pool-utilization gauge).
         "seconds": seg_span.wall_seconds,
-        "cpu_seconds": seg_span.cpu_seconds,
         "spans": tm.export_spans(),
         "counters": dict(tm.counters) if tm.enabled else None,
     }
@@ -187,10 +184,6 @@ class ParallelOutcome:
     mode: str
     fallback_reason: str = ""
     wall_seconds: float = 0.0
-    segment_seconds: list[float] = field(default_factory=list)
-    #: Per-segment worker CPU time (excludes time-slicing waits when
-    #: workers outnumber cores; what capacity planning should use).
-    segment_cpu_seconds: list[float] = field(default_factory=list)
     #: Parent-side fold + finalize time (the serial tail of the run).
     merge_seconds: float = 0.0
 
@@ -333,8 +326,6 @@ def parallel_replay(path: str | os.PathLike,
         return ParallelOutcome(
             reports=reports, context=ctx, plan=plan, jobs=pool_size,
             mode="parallel", wall_seconds=wall,
-            segment_seconds=[r["seconds"] for r in results],
-            segment_cpu_seconds=[r["cpu_seconds"] for r in results],
             merge_seconds=merge_seconds)
     finally:
         coord.__exit__(None, None, None)

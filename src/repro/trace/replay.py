@@ -16,8 +16,9 @@ the interpreter again:
 
 Analyses are :class:`repro.analyses.Analysis` plugins resolved through
 the shared registry — the same objects that attach to a live
-interpreter run and that the batch driver spawns, which is exactly the
-symmetry the bench harness uses for its replay-vs-rerun comparison.
+interpreter run and that the batch driver spawns, which is what lets
+the golden matrix hold replayed and live results to the same
+snapshots.
 
 There is one engine, :func:`dispatch_batches`, for serial and segment
 replay alike: it walks decoded blocks and falls back to per-event hooks
@@ -339,6 +340,5 @@ def replay_with(path: str, consumers: list[Analysis],
     for consumer in consumers:
         with tm.span("analysis.finish", analysis=consumer.name):
             report = consumer.finish(ctx)
-        consumer.last_result = report  # deprecated describe() surface
         reports[consumer.name] = report
     return ReplayOutcome(reports=reports, context=ctx, consumers=consumers)

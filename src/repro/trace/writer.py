@@ -9,7 +9,8 @@ any number of analyses without touching the interpreter again.
 
 The on-disk encoding (:mod:`repro.trace.codec`) is delta/varint
 records in zlib-compressed blocks, 18-78x smaller than fixed 13-byte
-records on the bundled workloads (measured in ``BENCH_sampling.json``).
+records on the bundled workloads at scale 0.5 (as measured when the
+format landed).
 The writer does nothing per event beyond encoding: shard seams for
 parallel replay are placed afterwards by a scan
 (:mod:`repro.trace.shards`). Recording can also run under a sampling

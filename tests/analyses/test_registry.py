@@ -83,39 +83,6 @@ class TestRegistration:
             AnalysisResult(analysis="x", data={"analysis": "evil"},
                            text="")
 
-    def test_legacy_result_protocol_still_replays(self, tmp_path):
-        """A pre-registry consumer (old ``result()``/``describe()``
-        protocol, reads ``ctx.footer``) must still run end to end."""
-        from repro.trace import record_source, replay_trace
-
-        class OldStyle(Analysis):
-            name = "old-style-test"
-
-            def __init__(self):
-                self.reads = 0
-
-            def on_read(self, addr, pc, timestamp):
-                self.reads += 1
-
-            def result(self, ctx):
-                return {"reads": self.reads,
-                        "exit": ctx.footer.exit_value}
-
-            def describe(self, outcome):
-                return f"old-style: {outcome['reads']} reads"
-
-        path = tmp_path / "legacy.trace"
-        record_source("int main() { int x = 1; return x; }", path)
-        register(OldStyle)
-        try:
-            outcome = replay_trace(str(path), ("old-style-test",))
-            payload = outcome.results["old-style-test"]
-            assert payload["reads"] > 0
-            assert payload["exit"] == 1
-            assert "old-style:" in outcome.describe()
-        finally:
-            unregister("old-style-test")
-
 
 class TestHookCoverage:
     def test_replay_dispatch_covers_every_tracer_hook(self):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.analyses.whatif import parse_worker_counts
+from repro.analyses.whatif import DEFAULT_WORKERS, parse_worker_counts
 from repro.api import Session
 from repro.ir.lowering import compile_source
 from repro.parallel.estimator import estimate_speedup
@@ -161,22 +161,26 @@ class TestWorkloadSmoke:
     same privatization list."""
 
     def test_advise_matches_estimate_speedup(self, workload, tmp_path):
+        """At every count of the default sweep (2, 4, 8, 16 workers)."""
         source = get(workload, SCALE).source
+        workers = parse_worker_counts(DEFAULT_WORKERS)
         with Session(cache_dir=str(tmp_path)) as session:
             result = session.advise(source, filename=workload,
-                                    workers=(4,))
+                                    workers=workers)
             assert session.stats.live_runs == 0  # replay-only hot path
         data = result.data
         assert data["candidates"] or data["skipped"]
         program = compile_source(source, workload)
         for entry in data["candidates"][:2]:
-            direct = estimate_speedup(
-                program=program, pc=entry["pc"], workers=4,
-                private_vars=tuple(entry["privatized_globals"]))
-            assert entry["speedups"]["4"]["speedup"] == \
-                pytest.approx(round(direct.speedup, 4))
-            assert entry["speedups"]["4"]["t_par"] == direct.t_par
-            assert entry["speedups"]["4"]["t_seq"] == direct.t_seq
+            for count in workers:
+                direct = estimate_speedup(
+                    program=program, pc=entry["pc"], workers=count,
+                    private_vars=tuple(entry["privatized_globals"]))
+                predicted = entry["speedups"][str(count)]
+                assert predicted["speedup"] == \
+                    pytest.approx(round(direct.speedup, 4))
+                assert predicted["t_par"] == direct.t_par
+                assert predicted["t_seq"] == direct.t_seq
 
 
 class TestBatchIntegration:

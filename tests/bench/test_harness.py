@@ -81,25 +81,3 @@ class TestFigures:
             for row in panel.rows:
                 assert 0.0 <= row.norm_size <= 1.0
                 assert 0.0 <= row.norm_violations <= 1.0
-
-
-class TestTraceBench:
-    """Shape of the replay-vs-rerun artifact (timings not asserted)."""
-
-    def test_trace_bench_artifact(self, tmp_path):
-        import json
-
-        from repro.bench.harness import trace_bench
-
-        out = tmp_path / "BENCH_trace.json"
-        data = trace_bench(names=["gzip"], scale=0.25,
-                           analyses=("dep", "locality", "hot"),
-                           out_path=str(out), repeats=1)
-        assert data["rows"][0]["name"] == "gzip"
-        assert data["rows"][0]["events"] > 0
-        for key in ("live_seconds", "record_seconds", "replay_seconds",
-                    "speedup"):
-            assert data["total"][key] > 0
-        on_disk = json.loads(out.read_text())
-        assert on_disk["rows"][0]["analyses"] == ["dep", "locality", "hot"]
-        assert on_disk["bench"] == "trace_replay_vs_rerun"

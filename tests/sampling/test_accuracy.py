@@ -101,3 +101,33 @@ class TestCompareTraces:
         full, sampled = trace_pair
         with pytest.raises(TraceError, match="itself sampled"):
             compare_traces(sampled, sampled)
+
+
+#: The sampling target: traces at least this many times smaller than
+#: the v1-equivalent recording, at no more than this hot-count and
+#: locality hit-rate error.
+TARGET_MIN_REDUCTION = 5.0
+TARGET_MAX_ERROR = 0.05
+
+
+def test_burst_sampling_meets_size_and_error_target(tmp_path):
+    """``burst:500/1000`` meets the size/error target on three Table III
+    workloads at scale 0.5 (reductions are about 96x, 89x and 66x)."""
+    from repro.workloads import get
+    from tests.trace.recording import v1_equivalent_bytes
+
+    for name in ("197.parser", "bzip2", "ogg"):
+        source = get(name, 0.5).source
+        full = tmp_path / f"{name}-full.trace"
+        sampled = tmp_path / f"{name}-burst.trace"
+        recorded = record_source(source, full)
+        kept = record_source(source, sampled, sampling="burst:500/1000")
+        reduction = (v1_equivalent_bytes(full, recorded.events)
+                     / kept.trace_bytes)
+        report = compare_traces(str(full), str(sampled),
+                                analyses=("hot", "locality"))
+        hot = report.rows["hot"].metrics["count_error"]
+        locality = report.rows["locality"].metrics["hit_rate_error"]
+        assert reduction >= TARGET_MIN_REDUCTION, (name, reduction)
+        assert hot is not None and hot <= TARGET_MAX_ERROR, (name, hot)
+        assert locality <= TARGET_MAX_ERROR, (name, locality)

@@ -172,51 +172,12 @@ class TestCorruptTraceExit2:
         assert main(["info", str(bad)]) == 0
         assert "type66=" in capsys.readouterr().out
 
-    def test_bench_sampling_unknown_workload_exit2(self, capsys):
-        assert main(["bench-sampling", "--workloads", "nosuch",
-                     "--scale", "0.1"]) == 2
-        err = self._one_line_error(capsys)
-        assert "unknown workload" in err
 
-    def test_bench_trace_unknown_workload_exit2(self, capsys):
-        assert main(["bench-trace", "--workloads", "nosuch",
-                     "--scale", "0.1"]) == 2
-        err = self._one_line_error(capsys)
-        assert "unknown workload" in err
-
-
-class TestBenchTraceVerb:
-    def test_writes_artifact_and_checks_parity(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_trace.json"
-        assert main(["bench-trace", "--workloads", "gzip",
-                     "--scale", "0.25", "--repeats", "1",
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "record once + replay:" in captured.out
-        assert "parity: replay == live" in captured.out
-        data = json.loads(out.read_text())
-        assert data["bench"] == "trace_replay_vs_rerun"
-        assert data["rows"][0]["name"] == "gzip"
-        assert data["rows"][0]["events"] > 0
-
-    def test_divergence_exits_1(self, capsys, tmp_path, monkeypatch):
-        import repro.cli
-
-        monkeypatch.setattr(repro.cli, "_trace_parity_check",
-                            lambda names, scale: list(names))
-        assert main(["bench-trace", "--workloads", "gzip",
-                     "--scale", "0.1", "--repeats", "1",
-                     "--out", str(tmp_path / "B.json")]) == 1
-        assert "replay diverged from the live run on: gzip" \
-            in capsys.readouterr().err
-
-    def test_skip_parity_skips_the_check(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_trace.json"
-        assert main(["bench-trace", "--workloads", "aes",
-                     "--scale", "0.25", "--repeats", "1",
-                     "--skip-parity",
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "parity" not in captured.out
+@pytest.mark.parametrize("verb", ["bench-trace", "bench-parallel",
+                                  "bench-sampling", "bench-advise"])
+def test_retired_bench_verbs_exit2(verb, capsys):
+    """Timing lives in perfbench/run.py; the old verbs are unknown."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

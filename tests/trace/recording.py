@@ -12,11 +12,14 @@
   must still replay and shard such files exactly.
 * :func:`write_v1_copy` rewrites a trace in the retired v1 layout
   (fixed 13-byte ``<BIII`` records), which readers must refuse.
+* :func:`v1_equivalent_bytes` computes that v1 file's size without
+  writing it: the baseline trace-size reductions are measured against.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 
@@ -24,7 +27,8 @@ from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.trace.codec import DEFAULT_BLOCK_BYTES
 from repro.trace.events import (EV_CHECKPOINT, EV_FINISH, MAGIC, TRAILER,
-                                pack_length, pack_version)
+                                V1_RECORD_BYTES, pack_length, pack_version,
+                                unpack_length)
 from repro.trace.reader import TraceReader
 from repro.trace.shards import CheckpointBuilder, _sparse_prev
 from repro.trace.writer import TraceWriter
@@ -126,3 +130,16 @@ def write_v1_copy(path, v1_path) -> None:
                      header, records, footer, pack_length(len(footer)),
                      TRAILER):
             handle.write(part)
+
+
+def v1_equivalent_bytes(path, events: int) -> int:
+    """Size of the same recording as a v1 file: the envelope (magic,
+    version, header, footer, trailer) of the v2 file at ``path`` plus
+    13 B per event."""
+    with TraceReader(path) as reader:
+        header_end = reader.events_start
+    suffix = 4 + len(TRAILER)
+    with open(path, "rb") as handle:
+        handle.seek(-suffix, os.SEEK_END)
+        footer_len = unpack_length(handle.read(4))
+    return header_end + footer_len + suffix + events * V1_RECORD_BYTES

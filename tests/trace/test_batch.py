@@ -75,9 +75,10 @@ class TestJobs:
             unregister("plug-counts-test")
 
     def test_legacy_nondict_result_payload_preserved(self, tmp_path):
-        """Pre-registry consumers whose result() returns a non-dict
-        (like the old HotAddressConsumer's list) keep that payload."""
-        from repro.analyses import Analysis, register, unregister
+        """An analysis whose finish() carries a non-dict payload and
+        no data (like ``hot``'s row list) keeps that payload."""
+        from repro.analyses import (Analysis, AnalysisResult, register,
+                                    unregister)
 
         class LegacyList(Analysis):
             name = "legacy-list-test"
@@ -88,8 +89,10 @@ class TestJobs:
             def on_read(self, addr, pc, timestamp):
                 self.addrs.add(addr)
 
-            def result(self, ctx):
-                return sorted(self.addrs)[:3]
+            def finish(self, ctx):
+                return AnalysisResult(analysis=self.name, data={},
+                                      text="",
+                                      payload=sorted(self.addrs)[:3])
 
         trace = str(tmp_path / "gzip.trace")
         assert run_job(BatchJob(kind="record", name="gzip",

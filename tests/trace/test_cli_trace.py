@@ -41,9 +41,11 @@ class TestRecordReplayCli:
                                   "--analysis", "dep,hot"])
         assert args.command == "replay"
         assert args.analysis == "dep,hot"
-        args = parser.parse_args(["batch", "--workers", "3", "--bench"])
+        args = parser.parse_args(["batch", "--workers", "3"])
         assert args.workers == 3
-        assert args.bench
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["batch", "--bench"])
+        assert exc.value.code == 2
 
     def test_record_default_output(self, minic_file, capsys):
         assert main(["record", minic_file]) == 0
@@ -128,22 +130,11 @@ class TestBatchCli:
         assert not payload["definitely-not-real"]["record"]["ok"]
         assert "failed" in captured.err
 
-    def test_batch_bench_skips_failed_workloads(self, tmp_path, capsys):
-        """--bench must not crash when no workload recorded."""
-        assert main(["batch", "--workloads", "definitely-not-real",
-                     "--out-dir", str(tmp_path / "traces"),
-                     "--workers", "1", "--bench",
-                     "--bench-out", str(tmp_path / "B.json")]) == 1
-        err = capsys.readouterr().err
-        assert "skipped" in err
-        assert not (tmp_path / "B.json").exists()
-
     def test_batch_bench_bad_analysis_reports_error(self, tmp_path,
                                                     capsys):
         assert main(["batch", "--workloads", "gzip", "--scale", "0.25",
                      "--out-dir", str(tmp_path / "traces"),
-                     "--workers", "1", "--bench",
-                     "--bench-out", str(tmp_path / "B.json"),
+                     "--workers", "1",
                      "--analysis", "dep,bogus"]) == 2
         assert "unknown analysis" in capsys.readouterr().err
 

@@ -6,14 +6,14 @@ import zlib
 
 import pytest
 
-from repro.bench.sampling import v1_equivalent_bytes
 from repro.trace import (TRACE_VERSION_V2, TraceError, TraceReader,
                          TraceTruncatedError, record_source)
 from repro.trace.codec import (BLOCK_HEADER, BLOCK_HEADER_SIZE,
                                V2BatchDecoder, V2Decoder)
 from repro.trace.events import EV_CHECKPOINT, source_digest
 from repro.trace.replay import replay_trace
-from tests.trace.recording import record_blocks, record_legacy
+from tests.trace.recording import (record_blocks, record_legacy,
+                                   v1_equivalent_bytes)
 
 SMALL = """
 int a[32];

@@ -14,6 +14,12 @@ To bless intentional changes, regenerate the snapshots::
 
 and commit the updated ``tests/golden/*.json`` together with the
 change that caused them (the diff in review *is* the profile drift).
+
+The same goldens also hold the live run (``mode="live"``): every
+analysis attached straight to the interpreter, with no trace layer on
+the path, must produce byte-identical snapshots to the replayed ones.
+That is the replay == live gate for every workload and every analysis.
+Regeneration writes from the replayed (default) leg only.
 """
 
 import difflib
@@ -47,10 +53,10 @@ def session():
         yield s
 
 
-def _snapshot(session: Session, workload: str) -> dict:
+def _snapshot(session: Session, workload: str, mode: str) -> dict:
     names = analysis_names()
     report = session.analyze(get(workload, SCALE).source, names,
-                             filename=workload)
+                             filename=workload, mode=mode)
     assert session.stats.records <= len(ALL_WORKLOADS), \
         "a workload must be recorded at most once per session"
     return {
@@ -64,12 +70,10 @@ def _render(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("workload", ALL_WORKLOADS)
-def test_profile_matches_golden(session, workload):
-    payload = _snapshot(session, workload)
+def _assert_golden(session: Session, workload: str, mode: str) -> None:
+    rendered = _render(_snapshot(session, workload, mode))
     path = _golden_path(workload)
-    rendered = _render(payload)
-    if REGEN:
+    if REGEN and mode == "auto":
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         path.write_text(rendered)
         return
@@ -88,6 +92,17 @@ def test_profile_matches_golden(session, workload):
     if len(diff) > DIFF_LIMIT:
         shown += f"\n... ({len(diff) - DIFF_LIMIT} more diff lines)"
     pytest.fail(
-        f"profile drift on {workload!r} ({len(diff)} diff lines).\n"
+        f"profile drift on {workload!r} in {mode} mode "
+        f"({len(diff)} diff lines).\n"
         "If intentional, regenerate goldens with "
         "ALCHEMIST_REGEN_GOLDEN=1 and commit the diff.\n" + shown)
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+def test_profile_matches_golden(session, workload):
+    _assert_golden(session, workload, "auto")
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+def test_live_profile_matches_golden(session, workload):
+    _assert_golden(session, workload, "live")
