@@ -46,6 +46,13 @@ _BINARY_LEVELS: list[dict[TokenType, str]] = [
 ]
 
 
+#: Deepest nesting of statements, expressions (an assignment's value and
+#: a conditional's else branch nest too) and prefix-operator operands;
+#: deeper source is a ParseError, not a Python stack overflow here or in
+#: a later pass (one parenthesis costs ~17 frames).
+MAX_NESTING = 40
+
+
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast_nodes.Program`."""
 
@@ -53,6 +60,7 @@ class Parser:
         self.tokens = tokens
         self.filename = filename
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------
 
@@ -81,6 +89,17 @@ class Parser:
                 f"expected {what}, found {token.value!r}",
                 token.line, token.col, self.filename)
         return self._advance()
+
+    def _nested(self, parse):
+        """``parse()`` one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            token = self._peek()
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             token.line, token.col, self.filename)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # -- top level ----------------------------------------------------
 
@@ -189,6 +208,9 @@ class Parser:
         return block
 
     def _parse_stmt(self) -> ast.Stmt:
+        return self._nested(self._parse_stmt_here)
+
+    def _parse_stmt_here(self) -> ast.Stmt:
         token = self._peek()
         if token.type is TokenType.LBRACE:
             return self._parse_block()
@@ -346,6 +368,9 @@ class Parser:
         return self._parse_assignment()
 
     def _parse_assignment(self) -> ast.Expr:
+        return self._nested(self._parse_assignment_here)
+
+    def _parse_assignment_here(self) -> ast.Expr:
         lhs = self._parse_ternary()
         token = self._peek()
         if token.type is TokenType.ASSIGN:
@@ -374,7 +399,7 @@ class Parser:
             return cond
         then = self._parse_assignment()
         self._expect(TokenType.COLON, "':'")
-        els = self._parse_ternary()
+        els = self._nested(self._parse_ternary)
         return ast.CondExpr(question.line, question.col, cond, then, els)
 
     def _parse_logical_or(self) -> ast.Expr:
@@ -404,26 +429,29 @@ class Parser:
             lhs = ast.BinOp(token.line, token.col, ops[token.type], lhs, rhs)
         return lhs
 
+    def _parse_operand(self) -> ast.Expr:
+        return self._nested(self._parse_unary)
+
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
         if token.type is TokenType.MINUS:
             self._advance()
-            return ast.UnOp(token.line, token.col, "-", self._parse_unary())
+            return ast.UnOp(token.line, token.col, "-", self._parse_operand())
         if token.type is TokenType.TILDE:
             self._advance()
-            return ast.UnOp(token.line, token.col, "~", self._parse_unary())
+            return ast.UnOp(token.line, token.col, "~", self._parse_operand())
         if token.type is TokenType.BANG:
             self._advance()
-            return ast.UnOp(token.line, token.col, "!", self._parse_unary())
+            return ast.UnOp(token.line, token.col, "!", self._parse_operand())
         if token.type is TokenType.PLUS:
             self._advance()
-            return self._parse_unary()
+            return self._parse_operand()
         if token.type is TokenType.STAR:
             self._advance()
-            return ast.Deref(token.line, token.col, self._parse_unary())
+            return ast.Deref(token.line, token.col, self._parse_operand())
         if token.type is TokenType.AMP:
             self._advance()
-            operand = self._parse_unary()
+            operand = self._parse_operand()
             if not isinstance(operand, (ast.VarRef, ast.Index, ast.Deref)):
                 raise ParseError(
                     "'&' needs a variable, array element, or dereference",
@@ -431,7 +459,7 @@ class Parser:
             return ast.AddrOf(token.line, token.col, operand)
         if token.type in (TokenType.PLUS_PLUS, TokenType.MINUS_MINUS):
             self._advance()
-            target = self._parse_unary()
+            target = self._parse_operand()
             self._check_lvalue(target, token)
             op = "++" if token.type is TokenType.PLUS_PLUS else "--"
             return ast.IncDec(token.line, token.col, target, op,

@@ -190,3 +190,64 @@ class TestExpressions:
     def test_missing_expression(self):
         with pytest.raises(ParseError):
             parse_expr("1 +")
+
+
+class TestNestingLimit:
+    """Source nested past ``MAX_NESTING`` fails with a ParseError, not
+    a RecursionError; source at the limit goes through every pass."""
+
+    @staticmethod
+    def parens(levels: int) -> str:
+        # main's statement and its expression are levels 1 and 2.
+        return ("int main() { return " + "(" * (levels - 2) + "1"
+                + ")" * (levels - 2) + "; }")
+
+    @staticmethod
+    def loops(levels: int) -> str:
+        # Each loop is a statement holding a block: two levels; the
+        # innermost statement and its expression take the last two.
+        body = "s++;"
+        for k in range((levels - 2) // 2):
+            body = f"for (int i{k} = 0; i{k} < 1; i{k}++) {{ {body} }}"
+        return ("int s; int main() { " + body + " print(s); "
+                "return 0; }")
+
+    def test_sixty_parentheses(self):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_program(self.parens(62))
+
+    def test_two_thousand_blocks(self):
+        from repro.ir.lowering import compile_source
+
+        source = "int main() { " + "{" * 2000 + "}" * 2000 + " return 0; }"
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            compile_source(source)
+
+    def test_prefix_operator_chain(self):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_program("int main() { return " + "- " * 600 + "1; }")
+
+    def test_one_past_the_limit(self):
+        from repro.lang.parser import MAX_NESTING
+
+        parse_program(self.parens(MAX_NESTING))
+        with pytest.raises(ParseError):
+            parse_program(self.parens(MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("shape", ["parens", "loops"])
+    def test_at_the_limit_compiles_profiles_and_advises(self, shape,
+                                                        tmp_path):
+        from repro.api import Session
+        from repro.lang.parser import MAX_NESTING
+
+        source = getattr(self, shape)(MAX_NESTING)
+        with Session(cache_dir=str(tmp_path)) as session:
+            report = session.analyze(source, ["dep"])
+            advice = session.advise(source)
+        assert report["dep"].payload.exit_value == (shape == "parens")
+        assert advice.data["total_instructions"] > 0
+
+    @pytest.mark.parametrize("chain", ["x = ", "x ? 1 : "])
+    def test_right_recursive_chains(self, chain):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_program("int x; int main() { " + chain * 300 + "1; }")

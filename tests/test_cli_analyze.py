@@ -207,3 +207,14 @@ class TestAliasVerbs:
         out = capsys.readouterr().out
         assert "Flat dependence profile" in out
         assert "Event counts" in out
+
+
+class TestNestingLimit:
+    def test_deep_parentheses_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.mc"
+        path.write_text("int main() { return " + "(" * 60 + "1"
+                        + ")" * 60 + "; }")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "nesting deeper than" in err
